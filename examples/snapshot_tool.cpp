@@ -5,6 +5,9 @@
 //       Generate the world once, then compile-and-save one snapshot per
 //       date (window_begin + start + i*stride) through a SnapshotStore —
 //       exactly the files a droplensd --snapshot-dir=DIR restart mmaps.
+//       Every date must fall inside the study window; a date outside it, or
+//       a flag value that is not an integer in range, exits 2 with the
+//       usage line before the world is generated.
 //
 //   $ ./snapshot_tool delta --dir=DIR [--keyframe-every=K]
 //       Re-encode the directory in place as delta chains: every Kth file
@@ -34,8 +37,11 @@
 //       prints only the summary), then replays the sequence onto A and
 //       verifies the result is structurally identical to B. Exit 1 if the
 //       round-trip check fails.
+#include <cerrno>
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
@@ -68,6 +74,23 @@ int usage() {
   return 2;
 }
 
+/// Parse the value of `--flag=VALUE` (`arg` points at VALUE) as a whole
+/// decimal integer in [lo, hi]; false on anything else.
+bool int_flag(const char* arg, int64_t lo, int64_t hi, int64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(arg, &end, 10);
+  if (end == arg || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
+    DLOG_ERROR("flag expects an integer",
+               {{"got", arg},
+                {"min", std::to_string(lo)},
+                {"max", std::to_string(hi)}});
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 uint64_t file_bytes(const std::string& path) {
   std::error_code ec;
   uint64_t n = std::filesystem::file_size(path, ec);
@@ -77,37 +100,53 @@ uint64_t file_bytes(const std::string& path) {
 int run_compile(int argc, char** argv) {
   std::string dir;
   bool small = false;
-  uint64_t seed = 0;
-  unsigned threads = util::ThreadPool::default_thread_count();
-  int32_t start = 60;
-  int days = 1;
-  int stride = 30;
+  int64_t seed = 0;
+  int64_t threads = util::ThreadPool::default_thread_count();
+  int64_t start = 60;
+  int64_t days = 1;
+  int64_t stride = 30;
+  constexpr int64_t kMaxDays = 1 << 20;
   for (int i = 2; i < argc; ++i) {
+    bool ok = true;
     if (std::strncmp(argv[i], "--dir=", 6) == 0) dir = argv[i] + 6;
     if (std::strcmp(argv[i], "--small") == 0) small = true;
     if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = std::stoull(argv[i] + 7);
+      ok = int_flag(argv[i] + 7, 0, INT64_MAX, &seed);
     }
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<unsigned>(std::stoul(argv[i] + 10));
+      ok = int_flag(argv[i] + 10, 0, 1024, &threads);
     }
     if (std::strncmp(argv[i], "--start=", 8) == 0) {
-      start = std::stoi(argv[i] + 8);
+      ok = int_flag(argv[i] + 8, -kMaxDays, kMaxDays, &start);
     }
-    if (std::strncmp(argv[i], "--days=", 7) == 0) days = std::stoi(argv[i] + 7);
+    if (std::strncmp(argv[i], "--days=", 7) == 0) {
+      ok = int_flag(argv[i] + 7, 1, kMaxDays, &days);
+    }
     if (std::strncmp(argv[i], "--stride=", 9) == 0) {
-      stride = std::stoi(argv[i] + 9);
+      ok = int_flag(argv[i] + 9, 1, kMaxDays, &stride);
     }
+    if (!ok) return usage();
   }
-  if (dir.empty() || days < 1 || stride < 1) return usage();
+  if (dir.empty()) return usage();
 
   sim::ScenarioConfig config =
       small ? sim::ScenarioConfig::small() : sim::ScenarioConfig{};
-  if (seed) config.seed = seed;
+  if (seed) config.seed = static_cast<uint64_t>(seed);
+  // The store compiles only dates inside the study window; refuse the rest
+  // here, before the world is generated.
+  const int64_t window_days = config.window_end - config.window_begin;
+  const int64_t last_offset = start + (days - 1) * stride;
+  if (start < 0 || last_offset > window_days) {
+    DLOG_ERROR("dates fall outside the study window",
+               {{"first_offset", std::to_string(start)},
+                {"last_offset", std::to_string(last_offset)},
+                {"window_days", std::to_string(window_days)}});
+    return usage();
+  }
   DLOG_INFO("generating world",
             {{"scale", small ? "small" : "paper-scale"}});
   auto world = sim::generate(config);
-  util::ThreadPool pool(threads);
+  util::ThreadPool pool(static_cast<unsigned>(threads));
   core::SnapshotCache cache(world->registry, world->fleet, world->roas,
                             world->drop, &world->irr);
   core::Study study{world->registry, world->fleet, world->irr,  world->roas,
@@ -121,8 +160,8 @@ int run_compile(int argc, char** argv) {
   store_config.dir = dir;
   store_config.max_resident = 1;  // compile-and-save, no need to keep days
   svc::SnapshotStore store(store_config, &study, &index);
-  for (int i = 0; i < days; ++i) {
-    net::Date d = config.window_begin + start + i * stride;
+  for (int64_t i = 0; i < days; ++i) {
+    net::Date d = config.window_begin + static_cast<int32_t>(start + i * stride);
     std::shared_ptr<const svc::Snapshot> snap = store.get(d);
     std::cout << store.path_for(d) << ": date " << snap->date().to_string()
               << ", version " << snap->version() << ", degraded 0x" << std::hex
@@ -138,14 +177,15 @@ int run_compile(int argc, char** argv) {
 
 int run_delta(int argc, char** argv) {
   std::string dir;
-  int keyframe_every = 7;
+  int64_t keyframe_every = 7;
   for (int i = 2; i < argc; ++i) {
     if (std::strncmp(argv[i], "--dir=", 6) == 0) dir = argv[i] + 6;
-    if (std::strncmp(argv[i], "--keyframe-every=", 17) == 0) {
-      keyframe_every = std::stoi(argv[i] + 17);
+    if (std::strncmp(argv[i], "--keyframe-every=", 17) == 0 &&
+        !int_flag(argv[i] + 17, 1, 1 << 20, &keyframe_every)) {
+      return usage();
     }
   }
-  if (dir.empty() || keyframe_every < 1) return usage();
+  if (dir.empty()) return usage();
 
   // Disk-only store: resolves whatever mix of keyframes and deltas the
   // directory holds now (re-running with a different K is fine). Residency

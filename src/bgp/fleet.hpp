@@ -115,6 +115,16 @@ class CollectorFleet {
   /// range.begin, withdraw at range.end) for `peer` — feed for PeerRib.
   std::vector<Update> update_stream(PeerId id) const;
 
+  /// Visit every (prefix, episode) in prefix order, a prefix's episodes in
+  /// insertion order — one walk of the trie.
+  template <typename Fn>
+  void for_each_episode(Fn&& fn) const {
+    episodes_.for_each(
+        [&](const net::Prefix& p, const std::vector<Episode>& eps) {
+          for (const Episode& e : eps) fn(p, e);
+        });
+  }
+
   /// All prefixes with at least one episode, in prefix order.
   std::vector<net::Prefix> announced_prefixes() const;
 

@@ -1,11 +1,43 @@
 #include "core/snapshot_cache.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <utility>
 
 #include "rpki/tal.hpp"
 
 namespace droplens::core {
+
+// Rows keep only what a day scan reads: the prefix packed as (first
+// address, length), the lifetime, and the fields a day filter tests — no
+// strings, no shared AsPath. Each table is in prefix order (the trie walk's
+// order), so the rows live on any day are already sorted by first address,
+// and one prefix's rows are adjacent.
+struct SnapshotCache::Tables {
+  struct Episode {
+    uint32_t first;
+    net::Date begin, end;
+    uint32_t origin;
+    uint8_t length;
+  };
+  struct Allocation {
+    uint32_t first;
+    net::Date begin, end;
+    uint8_t length;
+    uint8_t rir;
+  };
+  struct Roa {
+    uint32_t first;
+    net::Date begin, end;
+    uint32_t asn;
+    uint8_t length;
+    uint8_t max_length;
+    uint8_t tal;
+  };
+  std::vector<Episode> episodes;
+  std::vector<Allocation> allocations;
+  std::vector<Roa> roas;
+};
 
 namespace {
 
@@ -16,6 +48,35 @@ uint32_t tal_bits(rpki::TalSet tals) {
     if (tals.has(t)) bits |= uint32_t{1} << static_cast<int>(t);
   }
   return bits;
+}
+
+template <typename Row>
+bool live_on(const Row& r, net::Date d) {
+  return r.begin <= d && d < r.end;
+}
+
+template <typename Row>
+uint64_t end_of(const Row& r) {
+  return uint64_t{r.first} + (uint64_t{1} << (32 - r.length));
+}
+
+/// The space of the rows live on `d` that `keep` accepts: one scan, and the
+/// table order is the sorted order from_sorted needs. Nested and adjacent
+/// rows merge during the scan, so the scratch array stays the size of the
+/// result (~10K routed intervals from ~200K live episodes).
+template <typename Row, typename Keep>
+net::IntervalSet live_space(const std::vector<Row>& rows, net::Date d,
+                            Keep&& keep) {
+  std::vector<net::IntervalSet::Interval> ivs;
+  for (const Row& r : rows) {
+    if (!live_on(r, d) || !keep(r)) continue;
+    if (!ivs.empty() && r.first <= ivs.back().end) {
+      ivs.back().end = std::max(ivs.back().end, end_of(r));
+    } else {
+      ivs.push_back({r.first, end_of(r)});
+    }
+  }
+  return net::IntervalSet::from_sorted(ivs);
 }
 
 }  // namespace
@@ -38,6 +99,37 @@ SnapshotCache::SnapshotCache(const rir::Registry& registry,
         "droplens_cache_failure_memo_hits_total", labels,
         "SnapshotCache hits on a memoized per-day substrate failure");
   }
+}
+
+SnapshotCache::~SnapshotCache() = default;
+
+const SnapshotCache::Tables& SnapshotCache::tables() const {
+  std::call_once(tables_once_, [this] {
+    auto t = std::make_unique<Tables>();
+    fleet_.for_each_episode([&](const net::Prefix& p, const bgp::Episode& e) {
+      t->episodes.push_back({p.network().value(), e.range.begin, e.range.end,
+                             e.origin().value(),
+                             static_cast<uint8_t>(p.length())});
+    });
+    registry_.for_each_allocation([&](const rir::Allocation& a) {
+      t->allocations.push_back({a.prefix.network().value(), a.lifetime.begin,
+                                a.lifetime.end,
+                                static_cast<uint8_t>(a.prefix.length()),
+                                static_cast<uint8_t>(a.rir)});
+    });
+    t->roas.reserve(roas_.total_published());
+    roas_.for_each_record([&](const rpki::RoaRecord& r) {
+      t->roas.push_back({r.roa.prefix.network().value(), r.lifetime.begin,
+                         r.lifetime.end, r.roa.asn.value(),
+                         static_cast<uint8_t>(r.roa.prefix.length()),
+                         static_cast<uint8_t>(r.roa.max_length),
+                         static_cast<uint8_t>(r.roa.tal)});
+    });
+    t->episodes.shrink_to_fit();
+    t->allocations.shrink_to_fit();
+    tables_ = std::move(t);
+  });
+  return *tables_;
 }
 
 template <typename Compute>
@@ -71,28 +163,44 @@ SnapshotCache::SetPtr SnapshotCache::get_or_compute(uint64_t key,
 }
 
 SnapshotCache::SetPtr SnapshotCache::routed_space(net::Date d) const {
-  return get_or_compute(make_key(Substrate::kRouted, d, 0),
-                        [&] { return fleet_.routed_space(d); });
+  return get_or_compute(make_key(Substrate::kRouted, d, 0), [&] {
+    return live_space(tables().episodes, d, [](const auto&) { return true; });
+  });
 }
 
 SnapshotCache::SetPtr SnapshotCache::allocated_space(net::Date d) const {
-  return get_or_compute(make_key(Substrate::kAllocated, d, 0),
-                        [&] { return registry_.allocated_space(d); });
+  return get_or_compute(make_key(Substrate::kAllocated, d, 0), [&] {
+    return live_space(tables().allocations, d,
+                      [](const auto&) { return true; });
+  });
 }
 
 SnapshotCache::SetPtr SnapshotCache::signed_space(
     net::Date d, rpki::TalSet tals, rpki::RoaArchive::Filter filter) const {
   uint32_t variant =
       (tal_bits(tals) << 8) | static_cast<uint8_t>(filter);
-  return get_or_compute(make_key(Substrate::kSigned, d, variant),
-                        [&] { return roas_.signed_space(d, tals, filter); });
+  return get_or_compute(make_key(Substrate::kSigned, d, variant), [&] {
+    using Filter = rpki::RoaArchive::Filter;
+    return live_space(tables().roas, d, [&](const Tables::Roa& r) {
+      if (!tals.has(static_cast<rpki::Tal>(r.tal))) return false;
+      if (filter == Filter::kAs0Only) return r.asn == net::Asn::kAs0Value;
+      if (filter == Filter::kNonAs0Only) return r.asn != net::Asn::kAs0Value;
+      return true;
+    });
+  });
 }
 
 SnapshotCache::SetPtr SnapshotCache::free_pool(rir::Rir rir,
                                                net::Date d) const {
   return get_or_compute(
-      make_key(Substrate::kFreePool, d, static_cast<uint8_t>(rir)),
-      [&] { return registry_.free_pool(rir, d); });
+      make_key(Substrate::kFreePool, d, static_cast<uint8_t>(rir)), [&] {
+        const net::IntervalSet allocated = live_space(
+            tables().allocations, d, [&](const Tables::Allocation& a) {
+              return a.rir == static_cast<uint8_t>(rir);
+            });
+        return net::IntervalSet::set_difference(registry_.administered(rir),
+                                                allocated);
+      });
 }
 
 SnapshotCache::SetPtr SnapshotCache::drop_space(net::Date d) const {
@@ -111,6 +219,75 @@ SnapshotCache::SetPtr SnapshotCache::irr_space(net::Date d) const {
     }
     return covered;
   });
+}
+
+std::vector<SnapshotCache::RouteValidity> SnapshotCache::route_validity(
+    net::Date d, rpki::TalSet tals) const {
+  const Tables& t = tables();
+  std::vector<const Tables::Roa*> live;
+  for (const Tables::Roa& r : t.roas) {
+    if (live_on(r, d) && tals.has(static_cast<rpki::Tal>(r.tal))) {
+      live.push_back(&r);
+    }
+  }
+
+  std::vector<RouteValidity> out;
+  // The live ROAs at or before the current route in prefix order that
+  // still contain it: a stack of nested prefixes, the most specific on top.
+  std::vector<const Tables::Roa*> covering;
+  std::vector<uint32_t> origins;
+  size_t next_roa = 0;
+  const std::vector<Tables::Episode>& eps = t.episodes;
+  for (size_t i = 0; i < eps.size();) {
+    const Tables::Episode& route = eps[i];
+    origins.clear();
+    for (; i < eps.size() && eps[i].first == route.first &&
+           eps[i].length == route.length;
+         ++i) {
+      if (live_on(eps[i], d)) origins.push_back(eps[i].origin);
+    }
+    if (origins.empty()) continue;
+
+    // CIDR blocks nest or are disjoint, so a stacked ROA that ends at or
+    // before a later prefix's first address can cover nothing after it.
+    for (; next_roa < live.size(); ++next_roa) {
+      const Tables::Roa& r = *live[next_roa];
+      if (r.first > route.first ||
+          (r.first == route.first && r.length > route.length)) {
+        break;
+      }
+      while (!covering.empty() && end_of(*covering.back()) <= r.first) {
+        covering.pop_back();
+      }
+      covering.push_back(&r);
+    }
+    while (!covering.empty() && end_of(*covering.back()) <= route.first) {
+      covering.pop_back();
+    }
+
+    // RFC 6811 per origin: not-found without a covering ROA; otherwise
+    // valid when some non-AS0 ROA names the origin and allows the length.
+    rpki::Validity worst = rpki::Validity::kNotFound;
+    if (!covering.empty()) {
+      worst = rpki::Validity::kValid;
+      for (uint32_t origin : origins) {
+        bool matched = false;
+        for (const Tables::Roa* r : covering) {
+          if (r->asn != net::Asn::kAs0Value && r->asn == origin &&
+              route.length <= r->max_length) {
+            matched = true;
+            break;
+          }
+        }
+        if (!matched) {
+          worst = rpki::Validity::kInvalid;
+          break;
+        }
+      }
+    }
+    out.push_back({net::Prefix(net::Ipv4(route.first), route.length), worst});
+  }
+  return out;
 }
 
 SnapshotCache::Stats SnapshotCache::stats() const {

@@ -3,13 +3,22 @@
 // Every longitudinal analysis intersects the same four interval sets per
 // sampled date: routed space (BGP fleet), signed space (ROA archive, per
 // TAL-set and AS0 filter), allocated space / free pools (registry), and the
-// DROP active set. Computing each of those walks a full substrate — the
-// hottest work in a report run — and before this cache each analysis redid
-// it per date. The cache memoizes one immutable IntervalSet per
+// DROP active set. The cache memoizes one immutable IntervalSet per
 // (substrate, date, variant) key behind a sharded mutex-guarded map, so N
 // analyses and N threads share one computation per day.
 //
-// Thread safety: get-or-compute under a per-shard mutex. Snapshots are
+// Lifetime tables: the fleet, registry and ROA archive each hold their whole
+// history in a node-per-bit trie, so deriving a day from the trie walks all
+// of it. On its first day query the cache flattens each trie once, in one
+// walk, into a prefix-ordered table of (prefix, lifetime, the fields a day
+// filter reads). A routed, allocated, free-pool or signed set is then one
+// linear scan of a table into IntervalSet::from_sorted, and route_validity()
+// validates a day's announced prefixes against its ROAs in one merge sweep.
+// The substrates' own trie functions stay the no-cache path and the oracle
+// the differential tests compare every table scan against.
+//
+// Thread safety: the tables are built under std::call_once and immutable
+// afterwards. Memoized sets are get-or-compute under a per-shard mutex and
 // returned as shared_ptr<const IntervalSet>; once published they are never
 // mutated, so readers need no further synchronization. A racing miss on the
 // same key computes at most once per shard lock — the value is pure, so
@@ -26,6 +35,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "bgp/fleet.hpp"
 #include "drop/drop_list.hpp"
@@ -47,6 +57,7 @@ class SnapshotCache {
   SnapshotCache(const rir::Registry& registry, const bgp::CollectorFleet& fleet,
                 const rpki::RoaArchive& roas, const drop::DropList& drop,
                 const irr::Database* irr = nullptr);
+  ~SnapshotCache();
 
   SnapshotCache(const SnapshotCache&) = delete;
   SnapshotCache& operator=(const SnapshotCache&) = delete;
@@ -73,6 +84,22 @@ class SnapshotCache {
   SetPtr irr_space(net::Date d) const;
   bool has_irr() const { return irr_ != nullptr; }
 
+  /// One prefix announced on a day, with the worst RFC 6811 validity over
+  /// its origins that day (invalid, then valid, then not-found).
+  struct RouteValidity {
+    net::Prefix prefix;
+    rpki::Validity validity;
+  };
+
+  /// Every prefix announced on `d`, in prefix order, validated against the
+  /// ROAs live on `d` under `tals`: the fold of RoaArchive::validate_route
+  /// over CollectorFleet::origins_on, from one merge sweep of the day's
+  /// routes against the day's ROAs. The ROAs covering a route form a stack
+  /// of nested prefixes, at most 33 deep. An empty `tals` makes every route
+  /// kNotFound. Not memoized.
+  std::vector<RouteValidity> route_validity(net::Date d,
+                                            rpki::TalSet tals) const;
+
   struct Stats {
     size_t hits = 0;
     size_t misses = 0;
@@ -80,7 +107,8 @@ class SnapshotCache {
     size_t failure_hits = 0;  // hits that returned a memoized failure (null)
   };
   /// Aggregate hit/miss counters across shards (diagnostics only; not part
-  /// of the determinism contract).
+  /// of the determinism contract). Building the lifetime tables is not a
+  /// miss.
   Stats stats() const;
 
  private:
@@ -104,6 +132,10 @@ class SnapshotCache {
   template <typename Compute>
   SetPtr get_or_compute(uint64_t key, Compute&& compute) const;
 
+  /// The lifetime tables (defined in the .cpp), built on first use.
+  struct Tables;
+  const Tables& tables() const;
+
   static constexpr size_t kShardCount = 16;
   struct Shard {
     std::mutex mu;
@@ -124,6 +156,8 @@ class SnapshotCache {
   const rpki::RoaArchive& roas_;
   const drop::DropList& drop_;
   const irr::Database* irr_;
+  mutable std::once_flag tables_once_;
+  mutable std::unique_ptr<const Tables> tables_;
   mutable std::array<Shard, kShardCount> shards_;
 };
 

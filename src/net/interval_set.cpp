@@ -28,20 +28,20 @@ bool IntervalSet::is_canonical(std::span<const Interval> intervals) {
   return true;
 }
 
+void IntervalSet::append_sorted(const Interval& iv) {
+  if (iv.begin >= iv.end) return;
+  assert(intervals_.empty() || iv.begin >= intervals_.back().begin);
+  if (!intervals_.empty() && iv.begin <= intervals_.back().end) {
+    if (iv.end > intervals_.back().end) intervals_.back().end = iv.end;
+  } else {
+    intervals_.push_back(iv);
+  }
+}
+
 IntervalSet IntervalSet::from_sorted(std::span<const Interval> intervals) {
   IntervalSet set;
   set.intervals_.reserve(intervals.size());
-  for (const Interval& iv : intervals) {
-    if (iv.begin >= iv.end) continue;
-    assert(set.intervals_.empty() || iv.begin >= set.intervals_.back().begin);
-    if (!set.intervals_.empty() && iv.begin <= set.intervals_.back().end) {
-      if (iv.end > set.intervals_.back().end) {
-        set.intervals_.back().end = iv.end;
-      }
-    } else {
-      set.intervals_.push_back(iv);
-    }
-  }
+  for (const Interval& iv : intervals) set.append_sorted(iv);
   set.build_index();
   return set;
 }
@@ -218,8 +218,18 @@ bool operator==(const IntervalSet& a, const IntervalSet& b) {
 }
 
 IntervalSet IntervalSet::set_union(const IntervalSet& a, const IntervalSet& b) {
-  IntervalSet out = a;
-  for (const Interval& iv : b.intervals()) out.insert(iv.begin, iv.end);
+  // Merge the two begin-sorted arrays; append_sorted coalesces.
+  IntervalSet out;
+  std::span<const Interval> as = a.intervals();
+  std::span<const Interval> bs = b.intervals();
+  out.intervals_.reserve(as.size() + bs.size());
+  auto ia = as.begin();
+  auto ib = bs.begin();
+  while (ia != as.end() || ib != bs.end()) {
+    const bool take_a =
+        ib == bs.end() || (ia != as.end() && ia->begin <= ib->begin);
+    out.append_sorted(take_a ? *ia++ : *ib++);
+  }
   return out;
 }
 
@@ -245,8 +255,20 @@ IntervalSet IntervalSet::set_intersection(const IntervalSet& a,
 
 IntervalSet IntervalSet::set_difference(const IntervalSet& a,
                                         const IntervalSet& b) {
-  IntervalSet out = a;
-  for (const Interval& iv : b.intervals()) out.erase(iv.begin, iv.end);
+  // One pass over each array: `ib` only moves forward, and an interval of b
+  // is revisited at most once per interval of a it overhangs into.
+  IntervalSet out;
+  std::span<const Interval> bs = b.intervals();
+  auto ib = bs.begin();
+  for (const Interval& iv : a.intervals()) {
+    uint64_t at = iv.begin;
+    while (ib != bs.end() && ib->end <= at) ++ib;
+    for (auto j = ib; j != bs.end() && j->begin < iv.end && at < iv.end; ++j) {
+      if (j->begin > at) out.intervals_.push_back(Interval{at, j->begin});
+      at = std::max(at, j->end);
+    }
+    if (at < iv.end) out.intervals_.push_back(Interval{at, iv.end});
+  }
   return out;
 }
 

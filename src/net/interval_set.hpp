@@ -107,7 +107,8 @@ class IntervalSet {
                      : std::span<const Interval>(intervals_);
   }
 
-  /// Set algebra; results are canonical (disjoint, sorted, coalesced).
+  /// Set algebra; results are canonical (disjoint, sorted, coalesced). Each
+  /// is one linear merge of the two interval arrays.
   static IntervalSet set_union(const IntervalSet& a, const IntervalSet& b);
   static IntervalSet set_intersection(const IntervalSet& a,
                                       const IntervalSet& b);
@@ -121,6 +122,9 @@ class IntervalSet {
  private:
   /// Copy a view's external storage into intervals_ before mutating.
   void detach();
+  /// Append to an owned array being built in begin order, coalescing with
+  /// the last interval on overlap or adjacency; empty intervals are skipped.
+  void append_sorted(const Interval& iv);
 
   // Invariant: sorted by begin, non-empty, non-overlapping, non-adjacent.
   std::vector<Interval> intervals_;

@@ -6,7 +6,9 @@
 // (which DROP categories, which ROV status): paint (range, value) pairs —
 // later paints either overwrite (most-specific-wins, the router longest-
 // match semantic) or merge (label union) — then finalize() into one sorted
-// vector of disjoint segments. Lookup is a single upper_bound.
+// vector of disjoint segments. Lookup is a single upper_bound. When the
+// paints are prefixes given in prefix order, from_nested() builds the same
+// longest-match result in one stack sweep, without the paint map.
 //
 // Like IntervalSet, a map either owns its segment array or is a non-owning
 // view over externally owned storage — the zero-copy form the snapshot
@@ -72,6 +74,47 @@ class SegmentMap {
       prev_end = s.end;
     }
     return true;
+  }
+
+  /// Longest-match flatten in one stack sweep. `to_segment` maps each
+  /// element of `items` to its (range, value); the ranges are non-empty,
+  /// sorted by begin with ties by end descending (CIDR prefix order), and
+  /// any two are nested or disjoint. Equals assign()-ing them
+  /// least-specific-first (of equal ranges the later wins) and then
+  /// finalize(), segment for segment, without the paint map: the stack
+  /// holds the open ranges, each containing the next, and every maximal run
+  /// is emitted as the sweep leaves it.
+  template <typename Items, typename ToSegment>
+  static SegmentMap from_nested(const Items& items, ToSegment&& to_segment) {
+    SegmentMap m;
+    std::vector<Segment> open;
+    uint64_t at = 0;  // everything before `at` has been emitted
+    auto emit_to = [&](uint64_t end, const T& value) {
+      if (at >= end) return;
+      if (!m.segments_.empty() && m.segments_.back().end == at &&
+          m.segments_.back().value == value) {
+        m.segments_.back().end = end;
+      } else {
+        m.segments_.push_back({at, end, value});
+      }
+      at = end;
+    };
+    auto close_top = [&] {
+      emit_to(open.back().end, open.back().value);
+      open.pop_back();
+    };
+    for (const auto& item : items) {
+      const Segment r = to_segment(item);
+      assert(r.begin < r.end);
+      while (!open.empty() && open.back().end <= r.begin) close_top();
+      if (!open.empty()) emit_to(r.begin, open.back().value);
+      at = r.begin;
+      open.push_back(r);
+    }
+    while (!open.empty()) close_top();
+    m.segments_.shrink_to_fit();
+    m.build_index();
+    return m;
   }
 
   bool is_view() const { return ext_data_ != nullptr; }

@@ -68,6 +68,16 @@ class Registry {
   /// specific than `p`.
   std::vector<Allocation> history(const net::Prefix& p) const;
 
+  /// Visit every allocation episode (live or ended) in prefix order — one
+  /// walk of the trie.
+  template <typename Fn>
+  void for_each_allocation(Fn&& fn) const {
+    allocations_.for_each(
+        [&](const net::Prefix&, const std::vector<Allocation>& v) {
+          for (const Allocation& a : v) fn(a);
+        });
+  }
+
   /// Space allocated by `rir` as of `d`.
   net::IntervalSet allocated_space(Rir rir, net::Date d) const;
   /// Space allocated by all RIRs as of `d`.

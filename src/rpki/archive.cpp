@@ -123,10 +123,7 @@ std::vector<RoaRecord> RoaArchive::live_records(net::Date d,
 std::vector<RoaRecord> RoaArchive::all_records() const {
   std::vector<RoaRecord> out;
   out.reserve(total_);
-  by_prefix_.for_each(
-      [&](const net::Prefix&, const std::vector<RoaRecord>& records) {
-        out.insert(out.end(), records.begin(), records.end());
-      });
+  for_each_record([&](const RoaRecord& r) { out.push_back(r); });
   return out;
 }
 

@@ -78,6 +78,15 @@ class RoaArchive {
   /// prefix trie walk (nondecreasing first address).
   std::vector<RoaRecord> all_records() const;
 
+  /// Visit every record in all_records() order without copying them.
+  template <typename Fn>
+  void for_each_record(Fn&& fn) const {
+    by_prefix_.for_each(
+        [&](const net::Prefix&, const std::vector<RoaRecord>& records) {
+          for (const RoaRecord& r : records) fn(r);
+        });
+  }
+
   /// Address space covered by live ROAs on `d`. `as0_only` restricts to AS0
   /// ROAs; `non_as0_only` to ROAs with a real origin ASN (Fig 5's
   /// "signed, non-AS0" series).

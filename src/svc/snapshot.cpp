@@ -29,6 +29,18 @@ uint8_t primary_bucket(uint8_t category_bits) {
   return kNoValue;
 }
 
+uint8_t rov_status(rpki::Validity v) {
+  switch (v) {
+    case rpki::Validity::kValid:
+      return static_cast<uint8_t>(RovStatus::kValid);
+    case rpki::Validity::kInvalid:
+      return static_cast<uint8_t>(RovStatus::kInvalid);
+    case rpki::Validity::kNotFound:
+      break;
+  }
+  return static_cast<uint8_t>(RovStatus::kNotFound);
+}
+
 /// One assembly routine for every lookup flavour. `sub` supplies the seven
 /// substrate answers; the scalar, reference, and batched paths plug in
 /// different providers, so their answers can only differ if a substrate
@@ -261,16 +273,29 @@ std::shared_ptr<const Snapshot> compile_snapshot(const core::Study& study,
   }
   snap->drop_.finalize();
 
-  // ROV paint: per announced prefix, the aggregate RFC 6811 status of its
-  // origins that day. Painted least-specific-first so a point lookup gives
-  // the most specific covering announcement — router longest-match. The
-  // validation fan-out writes to slot i; painting is sequential in index
-  // order, keeping the artifact byte-identical for any thread count.
+  // ROV: per announced prefix, the aggregate RFC 6811 status of its origins
+  // that day; a point lookup answers with the most specific covering
+  // announcement — router longest-match.
   const bool bgp_ok =
       (snap->degraded_ & feed_bit(core::Feed::kBgpUpdates)) == 0;
   const bool roas_ok = core::engine::day_available(study, core::Feed::kRoas, d);
   if (!roas_ok) snap->degraded_ |= feed_bit(core::Feed::kRoas);
-  if (bgp_ok) {
+  if (bgp_ok && study.snapshots) {
+    // The cache's merge sweep yields the day's routes in prefix order with
+    // their status; one longest-match sweep emits the finished segments.
+    using Route = core::SnapshotCache::RouteValidity;
+    const std::vector<Route> routes = study.snapshots->route_validity(
+        d, roas_ok ? rpki::TalSet::defaults() : rpki::TalSet());
+    snap->rov_ =
+        net::SegmentMap<uint8_t>::from_nested(routes, [](const Route& r) {
+          return net::SegmentMap<uint8_t>::Segment{
+              r.prefix.first(), r.prefix.end(), rov_status(r.validity)};
+        });
+  } else if (bgp_ok) {
+    // No cache: validate each announced prefix against the ROA trie and
+    // paint least-specific-first. The validation fan-out writes to slot i;
+    // painting is sequential in index order, keeping the artifact
+    // byte-identical for any thread count.
     std::vector<net::Prefix> announced = study.fleet.announced_prefixes_on(d);
     std::stable_sort(announced.begin(), announced.end(),
                      [](const net::Prefix& a, const net::Prefix& b) {
@@ -300,8 +325,8 @@ std::shared_ptr<const Snapshot> compile_snapshot(const core::Study& study,
     for (size_t i = 0; i < announced.size(); ++i) {
       snap->rov_.assign(announced[i], status[i]);
     }
+    snap->rov_.finalize();
   }
-  snap->rov_.finalize();
 
   // Administering RIR: painted from the static administered blocks (they
   // are disjoint across RIRs, so paint order is irrelevant).

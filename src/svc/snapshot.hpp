@@ -185,9 +185,12 @@ class Snapshot {
 };
 
 /// Compile the study's state for day `d` into a Snapshot. Routes through the
-/// Study's SnapshotCache / ThreadPool / DataQuality hooks when present, so a
-/// warm engine compiles in the cost of a few interval intersections. The
-/// result is deterministic: byte-identical for any thread count.
+/// Study's SnapshotCache / ThreadPool / DataQuality hooks when present. With
+/// a cache, the routed, allocated and AS0 sets come from its lifetime-table
+/// scans and the ROV status from its route_validity() sweep, with no pool
+/// task; without one, from the substrates' tries and a pool fan-out. The
+/// result is deterministic: byte-identical for either path and any thread
+/// count.
 std::shared_ptr<const Snapshot> compile_snapshot(const core::Study& study,
                                                  const core::DropIndex& index,
                                                  net::Date d, uint64_t version);

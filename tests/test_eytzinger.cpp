@@ -316,6 +316,81 @@ TEST(SegmentMapDifferential, IndexedMatchesReference) {
   }
 }
 
+/// The longest-match sweep against its paint oracle: assign() each prefix
+/// least-specific-first (stable within a length), then finalize().
+void expect_sweep_matches_paint(std::vector<std::pair<Prefix, uint8_t>> in) {
+  std::sort(in.begin(), in.end());
+  in.erase(std::unique(in.begin(), in.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.first == b.first;
+                       }),
+           in.end());
+  const SegmentMap<uint8_t> swept =
+      SegmentMap<uint8_t>::from_nested(in, [](const auto& pv) {
+        return SegmentMap<uint8_t>::Segment{pv.first.first(), pv.first.end(),
+                                            pv.second};
+      });
+
+  std::stable_sort(in.begin(), in.end(), [](const auto& a, const auto& b) {
+    return a.first.length() < b.first.length();
+  });
+  SegmentMap<uint8_t> painted;
+  for (const auto& [p, v] : in) painted.assign(p, v);
+  painted.finalize();
+
+  ASSERT_TRUE(std::equal(swept.segments().begin(), swept.segments().end(),
+                         painted.segments().begin(),
+                         painted.segments().end()))
+      << swept.segment_count() << " swept vs " << painted.segment_count()
+      << " painted segments over " << in.size() << " prefixes";
+  EXPECT_TRUE(swept.has_fast_index());
+}
+
+TEST(SegmentMapSweep, LongestMatchSweepEqualsAssignAndFinalize) {
+  expect_sweep_matches_paint({});  // empty input, empty map
+  expect_sweep_matches_paint({{Prefix(), 1}});
+  expect_sweep_matches_paint(
+      {{Prefix::containing(net::Ipv4(0xffffffff), 32), 2}});
+
+  // A 33-deep chain /0 ... /32 around one address, then the same chain with
+  // equal values everywhere (one segment must remain).
+  std::vector<std::pair<Prefix, uint8_t>> chain, flat;
+  for (int len = 0; len <= 32; ++len) {
+    const Prefix p = Prefix::containing(net::Ipv4(0x8badf00d), len);
+    chain.push_back({p, static_cast<uint8_t>(len % 3)});
+    flat.push_back({p, 1});
+  }
+  expect_sweep_matches_paint(chain);
+  expect_sweep_matches_paint(flat);
+
+  // Equal-length siblings under a parent, siblings sharing the parent's
+  // value (they must coalesce with it and each other) or not.
+  const Prefix parent = Prefix::parse("10.0.0.0/8");
+  expect_sweep_matches_paint({{parent, 0},
+                              {parent.child(0), 0},
+                              {parent.child(1), 0},
+                              {parent.child(1).child(0), 1}});
+  expect_sweep_matches_paint({{parent.child(0), 2}, {parent.child(1), 2}});
+
+  // Seeded random sets: every length from /0 to /32, clustered so nesting
+  // is deep and siblings are common, with three values so adjacent equal
+  // runs coalesce often.
+  std::mt19937_64 rng(0x5EEB);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::pair<Prefix, uint8_t>> in;
+    const uint32_t base = static_cast<uint32_t>(rng());
+    const size_t n = 1 + rng() % 400;
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t addr = base ^ static_cast<uint32_t>(rng() % (1u << 20));
+      const int len = static_cast<int>(rng() % 33);
+      in.push_back({Prefix::containing(net::Ipv4(addr), len),
+                    static_cast<uint8_t>(rng() % 3)});
+    }
+    if (round % 10 == 0) in.push_back({Prefix(), 0});
+    expect_sweep_matches_paint(std::move(in));
+  }
+}
+
 // ------------------------------------------------------------- snapshot --
 
 svc::Snapshot make_random_snapshot(std::mt19937_64& rng) {

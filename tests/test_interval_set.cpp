@@ -163,6 +163,63 @@ TEST_P(IntervalSetPropertyTest, AlgebraLaws) {
   }
 }
 
+TEST_P(IntervalSetPropertyTest, LinearMergesMatchInsertEraseFoldsAt10K) {
+  sim::Rng rng(GetParam() ^ 0x10000);
+  constexpr uint64_t kSpace = uint64_t{1} << 32;
+  // ~12K intervals over the whole IPv4 space, touching both of its ends.
+  auto random_set = [&] {
+    IntervalSet s;
+    s.insert(0, 1 + rng.below(1000));
+    s.insert(kSpace - 1 - rng.below(1000), kSpace);
+    for (int i = 0; i < 12'000; ++i) {
+      const uint64_t a = rng.below(kSpace - 70'000);
+      s.insert(a, a + 1 + rng.below(65'536));
+    }
+    return s;
+  };
+  const IntervalSet a = random_set();
+  IntervalSet b = random_set();
+  // Shapes the merges must get right: b intervals equal to, adjacent to,
+  // inside and straddling a's.
+  const auto ivs = a.intervals();
+  for (size_t k = 0; k < ivs.size(); k += 7) {
+    const IntervalSet::Interval& iv = ivs[k];
+    switch (k % 4) {
+      case 0: b.insert(iv.begin, iv.end); break;
+      case 1:
+        b.insert(iv.end, std::min(iv.end + 1 + rng.below(100), kSpace));
+        break;
+      case 2: b.insert(iv.begin + iv.size() / 3, iv.end - iv.size() / 3); break;
+      default:
+        b.insert(iv.begin + iv.size() / 2, std::min(iv.end + 500, kSpace));
+        break;
+    }
+  }
+  ASSERT_GE(a.interval_count(), 10'000u);
+  ASSERT_GE(b.interval_count(), 10'000u);
+
+  auto check = [](const IntervalSet& x, const IntervalSet& y) {
+    IntervalSet union_fold = x;
+    IntervalSet diff_fold = x;
+    for (const IntervalSet::Interval& iv : y.intervals()) {
+      union_fold.insert(iv.begin, iv.end);
+      diff_fold.erase(iv.begin, iv.end);
+    }
+    const IntervalSet u = IntervalSet::set_union(x, y);
+    const IntervalSet d = IntervalSet::set_difference(x, y);
+    EXPECT_TRUE(IntervalSet::is_canonical(u.intervals()));
+    EXPECT_TRUE(IntervalSet::is_canonical(d.intervals()));
+    EXPECT_EQ(u, union_fold);
+    EXPECT_EQ(d, diff_fold);
+  };
+  check(a, b);
+  check(b, a);
+  EXPECT_EQ(IntervalSet::set_union(a, IntervalSet()), a);
+  EXPECT_EQ(IntervalSet::set_difference(a, IntervalSet()), a);
+  EXPECT_TRUE(IntervalSet::set_difference(a, a).empty());
+  EXPECT_TRUE(IntervalSet::set_difference(IntervalSet(), a).empty());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSetPropertyTest,
                          ::testing::Values(11, 22, 33, 44));
 

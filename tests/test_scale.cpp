@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include "core/drop_index.hpp"
+#include "core/snapshot_cache.hpp"
 #include "core/study.hpp"
 #include "sim/scale.hpp"
 #include "svc/protocol.hpp"
@@ -67,9 +68,12 @@ std::string read_file(const std::string& path) {
 struct ScaleFixture {
   sim::ScaleConfig config;
   std::string path;
-  // Set only on a cold cache, when the world was generated and compiled.
+  // Set only on a cold cache, when the world was generated and compiled —
+  // through the substrates' tries and again through a SnapshotCache's
+  // lifetime tables.
   std::unique_ptr<sim::World> world;
   std::shared_ptr<const svc::Snapshot> compiled;
+  std::shared_ptr<const svc::Snapshot> compiled_cached;
   // Always set: the mmap view over the fixture file.
   std::shared_ptr<const svc::Snapshot> loaded;
 
@@ -90,6 +94,13 @@ struct ScaleFixture {
                           fx->world->config.window_end};
         const core::DropIndex index = core::DropIndex::build(study);
         fx->compiled = svc::compile_snapshot(study, index, fx->config.day, 1);
+        core::SnapshotCache cache(fx->world->registry, fx->world->fleet,
+                                  fx->world->roas, fx->world->drop,
+                                  &fx->world->irr);
+        core::Study cached = study;
+        cached.snapshots = &cache;
+        fx->compiled_cached =
+            svc::compile_snapshot(cached, index, fx->config.day, 1);
         // save_snapshot writes tmp + rename, so concurrent cold runs in one
         // build tree each produce a complete file and the rename wins race-
         // free.
@@ -153,6 +164,8 @@ TEST(ScaleTier, DlsRoundTripIsByteIdentical) {
   EXPECT_EQ(svc::serialize_snapshot(*fx.loaded), file_bytes);
   if (fx.compiled) {
     EXPECT_EQ(svc::serialize_snapshot(*fx.compiled), file_bytes);
+    // The table scans and the ROV sweep compile the same bytes at scale.
+    EXPECT_EQ(svc::serialize_snapshot(*fx.compiled_cached), file_bytes);
   }
 }
 
