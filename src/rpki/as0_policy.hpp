@@ -8,6 +8,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "net/date.hpp"
 #include "rir/registry.hpp"
@@ -33,7 +34,15 @@ class As0PolicyEngine {
   /// Run sync for every RIR whose policy is active on `d`.
   size_t sync_all(net::Date d);
 
+  /// sync_all on each of `dates` in turn (the generator passes its monthly
+  /// schedule, ascending). The registry and the archive are walked once for
+  /// the whole schedule rather than once per date; the result, op count
+  /// included, equals the loop of sync_all calls.
+  size_t sync_schedule(std::span<const net::Date> dates);
+
  private:
+  size_t run(std::span<const rir::Rir> rirs, std::span<const net::Date> dates);
+
   const rir::Registry& registry_;
   RoaArchive& archive_;
 };

@@ -507,11 +507,12 @@ void Generator::gen_bogons() {
 void Generator::run_as0_policies() {
   // APNIC and LACNIC sync AS0 ROAs against their free pools monthly from
   // their policy dates (§2.3.1).
-  rpki::As0PolicyEngine engine(w_->registry, w_->roas);
+  std::vector<net::Date> schedule;
   for (net::Date d = cfg_.window_begin; d < cfg_.window_end; d += 30) {
-    engine.sync_all(d);
+    schedule.push_back(d);
   }
-  engine.sync_all(cfg_.window_end);
+  schedule.push_back(cfg_.window_end);
+  rpki::As0PolicyEngine(w_->registry, w_->roas).sync_schedule(schedule);
 }
 
 }  // namespace detail

@@ -836,7 +836,10 @@ std::shared_ptr<const Snapshot> load_snapshot_delta(const std::string& path,
         apply_patch(map.data() + sd.offset, sd.length, encode_segment(base, i),
                     kElemSizes[i], static_cast<SnapshotSegment>(i));
     holder->arrays[i].resize((bytes.size() + 7) / 8);
-    std::memcpy(holder->arrays[i].data(), bytes.data(), bytes.size());
+    // An empty segment leaves data() null, which memcpy must not be given.
+    if (!bytes.empty()) {
+      std::memcpy(holder->arrays[i].data(), bytes.data(), bytes.size());
+    }
     holder->lengths[i] = bytes.size();
   }
   holder->snap = build_snapshot_views(

@@ -201,6 +201,49 @@ TEST(Crc32c, SeedChainsIncrementally) {
   }
 }
 
+// crc32c() takes the SSE4.2 path on CPUs that have it; the table loop is
+// its oracle. Lengths and offsets cover every head/tail split of the
+// 8-byte word loop and every load alignment.
+std::vector<unsigned char> random_bytes(size_t n, uint64_t seed) {
+  sim::Rng rng(seed);
+  std::vector<unsigned char> out(n);
+  for (unsigned char& b : out) b = static_cast<unsigned char>(rng.next());
+  return out;
+}
+
+TEST(Crc32c, MatchesReferenceAtEveryLengthAndOffset) {
+  const std::vector<unsigned char> buf = random_bytes(1100 + 16, 0xC3C3);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      ASSERT_EQ(util::crc32c(p, len), util::crc32c_reference(p, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32c, MatchesReferenceOnAMebibyte) {
+  const std::vector<unsigned char> buf = random_bytes(size_t{1} << 20, 7);
+  EXPECT_EQ(util::crc32c(buf.data(), buf.size()),
+            util::crc32c_reference(buf.data(), buf.size()));
+  EXPECT_EQ(util::crc32c(buf.data(), buf.size(), 0xDEADBEEFu),
+            util::crc32c_reference(buf.data(), buf.size(), 0xDEADBEEFu));
+}
+
+TEST(Crc32c, ChainsAcrossImplementations) {
+  const std::vector<unsigned char> buf = random_bytes(301, 11);
+  const uint32_t whole = util::crc32c_reference(buf.data(), buf.size());
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    const unsigned char* rest = buf.data() + split;
+    const size_t rest_len = buf.size() - split;
+    uint32_t hw_first = util::crc32c(buf.data(), split);
+    EXPECT_EQ(util::crc32c_reference(rest, rest_len, hw_first), whole)
+        << split;
+    uint32_t table_first = util::crc32c_reference(buf.data(), split);
+    EXPECT_EQ(util::crc32c(rest, rest_len, table_first), whole) << split;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Zero-copy views: the net-layer primitives the mmap loader builds on.
 
