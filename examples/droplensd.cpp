@@ -11,12 +11,15 @@
 //
 //   $ ./droplensd [--small] [--seed=N] [--port=P] [--whois-port=P]
 //                 [--admin-port=P] [--threads=N] [--date-offset=DAYS]
-//                 [--snapshot-dir=PATH] [--max-resident=N]
-//                 [--transport=epoll|threads] [--max-conns=N]
+//                 [--snapshot-dir=PATH] [--max-resident=N] [--max-conns=N]
 //                 [--idle-timeout-ms=MS] [--max-inflight=N]
 //                 [--follow[=DAYS_PER_SEC]] [--compact-every=DAYS]
 //                 [--log-level=debug|info|warn|error]
 //                 [--log-format=logfmt|json]
+//
+// An unknown flag, or a value that is not a whole number in its type's
+// range (ports 0-65535; --follow= takes any non-negative number), prints
+// the usage line and exits 2 before the world is generated.
 //
 // Then, from another terminal:  printf '!gAS64500\n' | nc 127.0.0.1 4343
 // With --admin-port=P (or its old spelling --metrics-port=P), the admin
@@ -28,9 +31,8 @@
 //   curl http://127.0.0.1:P/slowz      slowest requests with stage splits
 //   curl http://127.0.0.1:P/logz       recent log records + suppression
 //
-// The serving edge defaults to the hardened epoll transport (a fixed pool
-// of event threads; see svc/epoll_transport.hpp) — --transport=threads
-// falls back to thread-per-connection. --max-conns caps concurrent
+// Every front runs on the hardened epoll transport (a fixed pool of event
+// threads; see svc/epoll_transport.hpp). --max-conns caps concurrent
 // connections per listener (excess accepts get a typed overload reply),
 // --idle-timeout-ms bounds quiet connections (slowloris drips included),
 // and --max-inflight turns on load shedding: bulk ops shed first, queries
@@ -79,6 +81,8 @@
 #include "svc/snapshot_store.hpp"
 #include "svc/transport.hpp"
 #include "svc/whois_service.hpp"
+#include "util/error.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace droplens;
@@ -91,6 +95,17 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void on_sighup(int) { g_reload = 1; }
 void on_sigterm(int) { g_stop = 1; }
+
+int usage() {
+  DLOG_ERROR(
+      "usage: droplensd [--small] [--seed=N] [--port=P] [--whois-port=P] "
+      "[--admin-port=P] [--threads=N] [--date-offset=DAYS] "
+      "[--snapshot-dir=PATH] [--max-resident=N] [--max-conns=N] "
+      "[--idle-timeout-ms=MS] [--max-inflight=N] [--follow[=DAYS_PER_SEC]] "
+      "[--compact-every=DAYS] [--log-level=debug|info|warn|error] "
+      "[--log-format=logfmt|json]");
+  return 2;
+}
 
 }  // namespace
 
@@ -105,7 +120,6 @@ int main(int argc, char** argv) {
   int32_t date_offset = 60;
   std::string snapshot_dir;
   size_t max_resident = 16;
-  std::string transport = "epoll";
   size_t max_conns = 0;
   uint32_t idle_timeout_ms = 0;
   size_t max_inflight = 0;
@@ -114,81 +128,67 @@ int main(int argc, char** argv) {
   int compact_every = 7;
   obs::Logger::Options log_options;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--small") == 0) small = true;
-    if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = std::stoull(argv[i] + 7);
-    }
-    if (std::strncmp(argv[i], "--port=", 7) == 0) {
-      port = static_cast<uint16_t>(std::stoul(argv[i] + 7));
-    }
-    if (std::strncmp(argv[i], "--whois-port=", 13) == 0) {
-      whois_port = static_cast<uint16_t>(std::stoul(argv[i] + 13));
-    }
-    if (std::strncmp(argv[i], "--metrics-port=", 15) == 0) {
-      metrics = true;
-      metrics_port = static_cast<uint16_t>(std::stoul(argv[i] + 15));
-    }
-    if (std::strncmp(argv[i], "--admin-port=", 13) == 0) {
-      metrics = true;
-      metrics_port = static_cast<uint16_t>(std::stoul(argv[i] + 13));
-    }
-    if (std::strncmp(argv[i], "--log-level=", 12) == 0) {
-      if (auto level = obs::parse_log_level(argv[i] + 12)) {
-        log_options.level = *level;
+    const char* arg = argv[i];
+    try {
+      if (std::strcmp(arg, "--small") == 0) {
+        small = true;
+      } else if (std::strncmp(arg, "--seed=", 7) == 0) {
+        seed = util::parse_number<uint64_t>(arg + 7);
+      } else if (std::strncmp(arg, "--port=", 7) == 0) {
+        port = util::parse_number<uint16_t>(arg + 7);
+      } else if (std::strncmp(arg, "--whois-port=", 13) == 0) {
+        whois_port = util::parse_number<uint16_t>(arg + 13);
+      } else if (std::strncmp(arg, "--metrics-port=", 15) == 0) {
+        metrics = true;
+        metrics_port = util::parse_number<uint16_t>(arg + 15);
+      } else if (std::strncmp(arg, "--admin-port=", 13) == 0) {
+        metrics = true;
+        metrics_port = util::parse_number<uint16_t>(arg + 13);
+      } else if (std::strncmp(arg, "--log-level=", 12) == 0) {
+        if (auto level = obs::parse_log_level(arg + 12)) {
+          log_options.level = *level;
+        } else {
+          DLOG_ERROR("unknown --log-level", {{"value", arg + 12}});
+          return 2;
+        }
+      } else if (std::strncmp(arg, "--log-format=", 13) == 0) {
+        if (auto format = obs::parse_log_format(arg + 13)) {
+          log_options.format = *format;
+        } else {
+          DLOG_ERROR("unknown --log-format", {{"value", arg + 13}});
+          return 2;
+        }
+      } else if (std::strncmp(arg, "--threads=", 10) == 0) {
+        threads = util::parse_number<uint32_t>(arg + 10);
+      } else if (std::strncmp(arg, "--date-offset=", 14) == 0) {
+        date_offset = util::parse_number<int32_t>(arg + 14);
+      } else if (std::strncmp(arg, "--snapshot-dir=", 15) == 0) {
+        snapshot_dir = arg + 15;
+      } else if (std::strncmp(arg, "--max-resident=", 15) == 0) {
+        max_resident = util::parse_number<uint64_t>(arg + 15);
+      } else if (std::strncmp(arg, "--max-conns=", 12) == 0) {
+        max_conns = util::parse_number<uint64_t>(arg + 12);
+      } else if (std::strncmp(arg, "--idle-timeout-ms=", 18) == 0) {
+        idle_timeout_ms = util::parse_number<uint32_t>(arg + 18);
+      } else if (std::strncmp(arg, "--max-inflight=", 15) == 0) {
+        max_inflight = util::parse_number<uint64_t>(arg + 15);
+      } else if (std::strcmp(arg, "--follow") == 0) {
+        follow = true;
+      } else if (std::strncmp(arg, "--follow=", 9) == 0) {
+        follow = true;
+        follow_rate = util::parse_number<double>(arg + 9, 0.0);
+      } else if (std::strncmp(arg, "--compact-every=", 16) == 0) {
+        compact_every = util::parse_number<int32_t>(arg + 16);
       } else {
-        DLOG_ERROR("unknown --log-level", {{"value", argv[i] + 12}});
-        return 2;
+        DLOG_ERROR("unknown flag", {{"flag", arg}});
+        return usage();
       }
-    }
-    if (std::strncmp(argv[i], "--log-format=", 13) == 0) {
-      if (auto format = obs::parse_log_format(argv[i] + 13)) {
-        log_options.format = *format;
-      } else {
-        DLOG_ERROR("unknown --log-format", {{"value", argv[i] + 13}});
-        return 2;
-      }
-    }
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<unsigned>(std::stoul(argv[i] + 10));
-    }
-    if (std::strncmp(argv[i], "--date-offset=", 14) == 0) {
-      date_offset = std::stoi(argv[i] + 14);
-    }
-    if (std::strncmp(argv[i], "--snapshot-dir=", 15) == 0) {
-      snapshot_dir = argv[i] + 15;
-    }
-    if (std::strncmp(argv[i], "--max-resident=", 15) == 0) {
-      max_resident = std::stoull(argv[i] + 15);
-    }
-    if (std::strncmp(argv[i], "--transport=", 12) == 0) {
-      transport = argv[i] + 12;
-    }
-    if (std::strncmp(argv[i], "--max-conns=", 12) == 0) {
-      max_conns = std::stoull(argv[i] + 12);
-    }
-    if (std::strncmp(argv[i], "--idle-timeout-ms=", 18) == 0) {
-      idle_timeout_ms = static_cast<uint32_t>(std::stoul(argv[i] + 18));
-    }
-    if (std::strncmp(argv[i], "--max-inflight=", 15) == 0) {
-      max_inflight = std::stoull(argv[i] + 15);
-    }
-    if (std::strcmp(argv[i], "--follow") == 0) follow = true;
-    if (std::strncmp(argv[i], "--follow=", 9) == 0) {
-      follow = true;
-      follow_rate = std::stod(argv[i] + 9);
-    }
-    if (std::strncmp(argv[i], "--compact-every=", 16) == 0) {
-      compact_every = std::stoi(argv[i] + 16);
+    } catch (const ParseError& e) {
+      DLOG_ERROR("bad flag value", {{"flag", arg}, {"error", e.what()}});
+      return usage();
     }
   }
   if (compact_every < 1) compact_every = 1;
-  svc::TransportKind transport_kind;
-  try {
-    transport_kind = svc::parse_transport_kind(transport);
-  } catch (const std::exception& e) {
-    DLOG_ERROR(e.what());
-    return 2;
-  }
 
   // One process-wide registry, installed before anything that binds
   // instruments is constructed — the pool, cache, parsers, and server all
@@ -259,8 +259,7 @@ int main(int argc, char** argv) {
     o.max_inflight = max_inflight;
     return o;
   };
-  std::unique_ptr<svc::TransportServer> query_tcp = svc::make_transport_server(
-      transport_kind, server, front_options("query", port));
+  svc::EpollServer query_tcp(server, front_options("query", port));
 
   // --follow: the live side. The publisher owns event ingestion and the
   // delta log; the server serves its kSubscribeRequest frames from any
@@ -324,8 +323,8 @@ int main(int argc, char** argv) {
 
   irr::WhoisServer whois(world->irr, date);
   svc::WhoisService whois_service(whois);
-  std::unique_ptr<svc::TransportServer> whois_tcp = svc::make_transport_server(
-      transport_kind, whois_service, front_options("whois", whois_port));
+  svc::EpollServer whois_tcp(whois_service,
+                            front_options("whois", whois_port));
 
   // The admin plane: /metrics plus health, status, traces, and logs, all
   // reading the same objects the daemon serves with — the /healthz checks
@@ -388,10 +387,10 @@ int main(int argc, char** argv) {
       return body;
     });
   }
-  std::unique_ptr<svc::TransportServer> metrics_tcp;
+  std::unique_ptr<svc::EpollServer> metrics_tcp;
   if (metrics) {
-    metrics_tcp = svc::make_transport_server(
-        transport_kind, admin_service, front_options("admin", metrics_port));
+    metrics_tcp = std::make_unique<svc::EpollServer>(
+        admin_service, front_options("admin", metrics_port));
   }
 
   std::signal(SIGHUP, on_sighup);
@@ -402,13 +401,12 @@ int main(int argc, char** argv) {
             {{"window", config.window_begin.to_string() + ".." +
                             config.window_end.to_string()},
              {"warm_date", date.to_string()},
-             {"query_port", std::to_string(query_tcp->port())},
-             {"whois_port", std::to_string(whois_tcp->port())},
+             {"query_port", std::to_string(query_tcp.port())},
+             {"whois_port", std::to_string(whois_tcp.port())},
              {"engine_threads", std::to_string(pool.concurrency())},
              {"max_resident", std::to_string(max_resident)}});
   DLOG_INFO("transport limits (0 = unlimited)",
-            {{"transport", transport},
-             {"max_conns", std::to_string(max_conns)},
+            {{"max_conns", std::to_string(max_conns)},
              {"idle_timeout_ms", std::to_string(idle_timeout_ms)},
              {"max_inflight", std::to_string(max_inflight)}});
   if (metrics_tcp) {
@@ -436,8 +434,8 @@ int main(int argc, char** argv) {
 
   DLOG_INFO("shutting down");
   if (follower.joinable()) follower.join();
-  query_tcp->stop();
-  whois_tcp->stop();
+  query_tcp.stop();
+  whois_tcp.stop();
   if (metrics_tcp) metrics_tcp->stop();
   svc::ServerStats stats = server.stats();
   DLOG_INFO("served", {{"frames", std::to_string(stats.requests)},

@@ -38,6 +38,7 @@
 #include "sim/generator.hpp"
 #include "util/error.hpp"
 #include "util/parse_report.hpp"
+#include "util/strings.hpp"
 
 using namespace droplens;
 
@@ -48,39 +49,26 @@ int main(int argc, char** argv) {
   std::optional<uint64_t> corrupt_seed;
   int drop_days = 0;
   core::ReportOptions options;
-  auto uint_arg = [&](const char* arg, const char* flag, size_t prefix,
-                      unsigned long max, unsigned long* out) {
-    char* end = nullptr;
-    unsigned long v = std::strtoul(arg + prefix, &end, 10);
-    if (end == arg + prefix || *end != '\0' || v > max) {
-      DLOG_ERROR("flag expects an integer",
-                 {{"flag", flag},
-                  {"max", std::to_string(max)},
-                  {"got", arg + prefix}});
-      return false;
-    }
-    *out = v;
-    return true;
-  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) full = true;
-    if (std::strcmp(argv[i], "--series") == 0) options.include_series = true;
-    if (std::strcmp(argv[i], "--lenient") == 0) lenient = true;
-    if (std::strcmp(argv[i], "--trace") == 0) trace = true;
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      unsigned long v = 0;
-      if (!uint_arg(argv[i], "--threads", 10, 1024, &v)) return 2;
-      options.threads = static_cast<unsigned>(v);
-    }
-    if (std::strncmp(argv[i], "--corrupt=", 10) == 0) {
-      unsigned long v = 0;
-      if (!uint_arg(argv[i], "--corrupt", 10, ~0ul, &v)) return 2;
-      corrupt_seed = v;
-    }
-    if (std::strncmp(argv[i], "--drop-days=", 12) == 0) {
-      unsigned long v = 0;
-      if (!uint_arg(argv[i], "--drop-days", 12, 1000, &v)) return 2;
-      drop_days = static_cast<int>(v);
+    const char* arg = argv[i];
+    if (std::strcmp(arg, "--full") == 0) full = true;
+    if (std::strcmp(arg, "--series") == 0) options.include_series = true;
+    if (std::strcmp(arg, "--lenient") == 0) lenient = true;
+    if (std::strcmp(arg, "--trace") == 0) trace = true;
+    try {
+      if (std::strncmp(arg, "--threads=", 10) == 0) {
+        options.threads = util::parse_number<uint32_t>(arg + 10, 0, 1024);
+      }
+      if (std::strncmp(arg, "--corrupt=", 10) == 0) {
+        corrupt_seed = util::parse_number<uint64_t>(arg + 10);
+      }
+      if (std::strncmp(arg, "--drop-days=", 12) == 0) {
+        drop_days = util::parse_number<int32_t>(arg + 12, 0, 1000);
+      }
+    } catch (const ParseError& e) {
+      DLOG_ERROR("flag expects an integer",
+                 {{"flag", arg}, {"error", e.what()}});
+      return 2;
     }
   }
   sim::ScenarioConfig config =

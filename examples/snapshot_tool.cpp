@@ -37,11 +37,9 @@
 //       prints only the summary), then replays the sequence onto A and
 //       verifies the result is structurally identical to B. Exit 1 if the
 //       round-trip check fails.
-#include <cerrno>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
@@ -59,6 +57,8 @@
 #include "svc/snapshot.hpp"
 #include "svc/snapshot_io.hpp"
 #include "svc/snapshot_store.hpp"
+#include "util/error.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace droplens;
@@ -75,20 +75,15 @@ int usage() {
 }
 
 /// Parse the value of `--flag=VALUE` (`arg` points at VALUE) as a whole
-/// decimal integer in [lo, hi]; false on anything else.
+/// decimal integer in [lo, hi]; false (after logging why) on anything else.
 bool int_flag(const char* arg, int64_t lo, int64_t hi, int64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(arg, &end, 10);
-  if (end == arg || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
-    DLOG_ERROR("flag expects an integer",
-               {{"got", arg},
-                {"min", std::to_string(lo)},
-                {"max", std::to_string(hi)}});
+  try {
+    *out = util::parse_number<int64_t>(arg, lo, hi);
+    return true;
+  } catch (const ParseError& e) {
+    DLOG_ERROR("flag expects an integer", {{"error", e.what()}});
     return false;
   }
-  *out = v;
-  return true;
 }
 
 uint64_t file_bytes(const std::string& path) {

@@ -179,7 +179,7 @@ ClientOutcome run_one(NetFaultInjector::Profile profile,
       }
       if (!out.server_closed) {
         // Hold the connection without ever reading; a bounded server must
-        // eventually cut us off (write watermark or write deadline). The
+        // eventually cut us off (write watermark or idle timeout). The
         // server's FIN hides behind the response bytes we refuse to drain,
         // so POLLRDHUP — which fires on a peer close even with unread data
         // pending — is the only honest way to see the eviction.

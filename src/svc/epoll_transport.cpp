@@ -22,10 +22,12 @@ namespace {
 constexpr size_t kReadChunk = 64 * 1024;
 /// Longest writev gather per sendmsg call.
 constexpr size_t kMaxIov = 8;
-/// Grace period for flushing a final (timeout/malformed) reply when no
-/// write deadline is configured; a peer that won't even read its eviction
-/// notice is force-closed after this.
-constexpr uint64_t kDefaultFlushGraceMs = 1000;
+/// Timer-wheel granularity; deadlines are enforced within one tick.
+constexpr uint32_t kTickMs = 16;
+/// Grace period for flushing a final (timeout/malformed) reply, counted from
+/// when the write queue last became non-empty; a peer that won't even read
+/// its eviction notice is force-closed after this.
+constexpr uint64_t kFlushGraceMs = 1000;
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("svc epoll: " + what + ": " +
@@ -110,7 +112,7 @@ EpollServer::EpollServer(Service& service, const TransportOptions& options)
       options_(options),
       counters_("epoll", options.name),
       trace_(options.name) {
-  Listener l = open_listener(options_.listen, /*nonblocking=*/true);
+  Listener l = open_listener(options_.listen);
   listen_fd_ = l.fd;
   port_ = l.port;
   const unsigned threads = std::max(1u, options_.event_threads);
@@ -136,7 +138,7 @@ EpollServer::EpollServer(Service& service, const TransportOptions& options)
       if (::epoll_ctl(w->epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev) < 0) {
         fail("epoll_ctl(listen)");
       }
-      w->wheel = std::make_unique<TimerWheel>(now, options_.tick_ms);
+      w->wheel = std::make_unique<TimerWheel>(now, kTickMs);
       workers_.push_back(std::move(w));
     }
   } catch (...) {
@@ -532,20 +534,13 @@ void EpollServer::close_conn(Worker& w, Conn& c, DisconnectReason reason) {
 void EpollServer::rearm_timer(Worker& w, Conn& c) {
   uint64_t at = 0;
   if (c.closing_after_flush) {
-    const uint64_t grace = options_.write_deadline_ms != 0
-                               ? options_.write_deadline_ms
-                               : kDefaultFlushGraceMs;
-    at = c.write_pending_since + grace;
+    at = c.write_pending_since + kFlushGraceMs;
   } else {
     if (options_.idle_timeout_ms != 0) {
       at = c.last_activity + options_.idle_timeout_ms;
     }
     if (options_.read_deadline_ms != 0 && c.partial_since != 0) {
       const uint64_t d = c.partial_since + options_.read_deadline_ms;
-      if (at == 0 || d < at) at = d;
-    }
-    if (options_.write_deadline_ms != 0 && c.write_pending_since != 0) {
-      const uint64_t d = c.write_pending_since + options_.write_deadline_ms;
       if (at == 0 || d < at) at = d;
     }
   }
@@ -578,17 +573,10 @@ void EpollServer::expire_timers(Worker& w, uint64_t now) {
                         DisconnectReason::kReadDeadline, now);
       continue;
     }
-    if (options_.write_deadline_ms != 0 && c.write_pending_since != 0 &&
-        now >= c.write_pending_since + options_.write_deadline_ms) {
-      // A peer that stopped reading gets no farewell it would never drain.
-      finish_trace(c, "timeout");
-      close_conn(w, c, DisconnectReason::kWriteDeadline);
-      continue;
-    }
     // Idle is a pure inactivity backstop: it fires even with a partial
     // message or an undrained queue pending, so a connection making no
     // progress in either direction is always bounded — with or without the
-    // sharper read/write deadlines configured.
+    // sharper read deadline configured.
     if (options_.idle_timeout_ms != 0 &&
         now >= c.last_activity + options_.idle_timeout_ms) {
       finish_trace(c, "timeout");
@@ -598,24 +586,6 @@ void EpollServer::expire_timers(Worker& w, uint64_t now) {
     }
     rearm_timer(w, c);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Factory
-
-TransportKind parse_transport_kind(std::string_view name) {
-  if (name == "epoll") return TransportKind::kEpoll;
-  if (name == "threads") return TransportKind::kThreads;
-  throw std::runtime_error("svc: unknown transport '" + std::string(name) +
-                           "' (expected epoll|threads)");
-}
-
-std::unique_ptr<TransportServer> make_transport_server(
-    TransportKind kind, Service& service, const TransportOptions& options) {
-  if (kind == TransportKind::kEpoll) {
-    return std::make_unique<EpollServer>(service, options);
-  }
-  return std::make_unique<TcpServer>(service, options);
 }
 
 }  // namespace droplens::svc

@@ -1,8 +1,8 @@
 // The hardened serving edge: an epoll transport with first-class
 // robustness semantics.
 //
-// EpollServer replaces TcpServer's thread-per-connection model with a small
-// fixed pool of event-loop threads multiplexing nonblocking sockets. Every
+// EpollServer is a small fixed pool of event-loop threads multiplexing
+// nonblocking sockets; no connection ever gets a thread of its own. Every
 // thread owns a private epoll instance plus a shard of the connections; the
 // shared listening socket sits in every epoll with EPOLLEXCLUSIVE, so
 // accepts spread across the pool without a handoff queue and each
@@ -15,10 +15,10 @@
 //                     overload reply (best effort) and an immediate close —
 //                     never an unbounded fd, never a thread
 //   deadlines         a timer wheel per thread drives idle timeouts (quiet
-//                     connections), read deadlines (a partial message must
-//                     complete — kills slowloris against the binary, whois,
-//                     and HTTP frontends alike), and write deadlines
-//                     (queued responses must drain)
+//                     connections, stalled readers included) and read
+//                     deadlines (a partial message must complete — kills
+//                     slowloris against the binary, whois, and HTTP
+//                     frontends alike)
 //   backpressure      responses are written straight from the serve()
 //                     buffer; whatever the kernel won't take queues in a
 //                     bounded per-connection list, and a reader slow enough
@@ -43,7 +43,7 @@
 //            │     else  → serve → write    │
 //            │   partial  → arm read ddl    │
 //            └── writable → flush queue ────┘
-//   close paths: peer EOF/error · malformed head · idle/read/write deadline
+//   close paths: peer EOF/error · malformed head · idle/read deadline
 //                · write-queue overflow · shed (no typed reply) · stop()
 #pragma once
 
@@ -66,8 +66,7 @@ namespace droplens::svc {
 /// their slot and are re-examined each revolution (lazy cascading).
 class TimerWheel {
  public:
-  explicit TimerWheel(uint64_t now_ms, uint32_t tick_ms = 16,
-                      size_t slots = 256);
+  explicit TimerWheel(uint64_t now_ms, uint32_t tick_ms, size_t slots = 256);
 
   /// Arm (or re-arm) timer `id` to fire once `now >= deadline_ms`.
   void arm(uint64_t id, uint64_t deadline_ms);
@@ -99,19 +98,21 @@ class TimerWheel {
 
 /// Epoll daemon on 127.0.0.1. Port 0 binds an ephemeral port. Runs any
 /// Service unchanged; see the file comment for the robustness contract.
-class EpollServer : public TransportServer {
+class EpollServer {
  public:
   /// Throws std::runtime_error if the socket cannot be bound or the epoll
   /// machinery cannot be set up.
   EpollServer(Service& service, const TransportOptions& options);
-  ~EpollServer() override;
+  ~EpollServer();
 
   EpollServer(const EpollServer&) = delete;
   EpollServer& operator=(const EpollServer&) = delete;
 
-  uint16_t port() const override { return port_; }
-  void stop() override;
-  TransportStats stats() const override { return counters_.snapshot(); }
+  uint16_t port() const { return port_; }
+  /// Stop accepting, shut down open connections, join all threads.
+  /// Idempotent; also run by the destructor.
+  void stop();
+  TransportStats stats() const { return counters_.snapshot(); }
 
   /// Current in-flight work (messages being served + unflushed responses).
   size_t inflight() const {
@@ -189,16 +190,5 @@ class EpollServer : public TransportServer {
   std::atomic<size_t> inflight_bias_{0};
   std::vector<std::unique_ptr<Worker>> workers_;
 };
-
-/// Which transport a frontend should run on.
-enum class TransportKind : uint8_t { kThreads, kEpoll };
-
-/// "epoll" or "threads" → kind; throws std::runtime_error on anything else.
-TransportKind parse_transport_kind(std::string_view name);
-
-/// Construct the chosen transport behind the common interface. The
-/// epoll-only TransportOptions fields are inert for kThreads.
-std::unique_ptr<TransportServer> make_transport_server(
-    TransportKind kind, Service& service, const TransportOptions& options);
 
 }  // namespace droplens::svc

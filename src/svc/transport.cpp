@@ -4,15 +4,11 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
-
-#include "util/error.hpp"
 
 namespace droplens::svc {
 
@@ -39,30 +35,9 @@ bool write_all(int fd, std::string_view bytes) {
   return true;
 }
 
-uint64_t steady_ms() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-// Arms SO_RCVTIMEO so the next blocking read returns EAGAIN after
-// `remaining_ms` (0 disables the timeout). Rounded up so a nonzero
-// remaining never becomes "wait forever".
-void set_read_timeout(int fd, uint64_t remaining_ms) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(remaining_ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((remaining_ms % 1000) * 1000);
-  if (remaining_ms != 0 && tv.tv_sec == 0 && tv.tv_usec == 0) {
-    tv.tv_usec = 1000;
-  }
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-}
-
 const char* kReasonNames[kDisconnectReasonCount] = {
-    "peer_closed",    "malformed",      "idle_timeout",
-    "read_deadline",  "write_deadline", "write_overflow",
-    "shed",           "server_stop",    "error",
+    "peer_closed", "malformed", "idle_timeout", "read_deadline",
+    "write_overflow", "shed", "server_stop", "error",
 };
 
 const char* kClassNames[kMessageClassCount] = {"bulk", "normal", "control"};
@@ -182,7 +157,7 @@ AcceptAction accept_errno_action(int err) {
   }
 }
 
-Listener open_listener(const ListenerOptions& options, bool nonblocking) {
+Listener open_listener(const ListenerOptions& options) {
   Listener l;
   l.fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (l.fd < 0) fail("socket");
@@ -192,11 +167,9 @@ Listener open_listener(const ListenerOptions& options, bool nonblocking) {
     if (::setsockopt(l.fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) < 0) {
       fail("setsockopt(SO_REUSEADDR)");
     }
-    if (nonblocking) {
-      int flags = ::fcntl(l.fd, F_GETFL, 0);
-      if (flags < 0 || ::fcntl(l.fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-        fail("fcntl(O_NONBLOCK)");
-      }
+    int flags = ::fcntl(l.fd, F_GETFL, 0);
+    if (flags < 0 || ::fcntl(l.fd, F_SETFL, flags | O_NONBLOCK) < 0) {
+      fail("fcntl(O_NONBLOCK)");
     }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -218,221 +191,6 @@ Listener open_listener(const ListenerOptions& options, bool nonblocking) {
     throw;
   }
   return l;
-}
-
-namespace {
-TransportOptions legacy_options(uint16_t port) {
-  TransportOptions o;
-  o.listen.port = port;
-  return o;
-}
-}  // namespace
-
-TcpServer::TcpServer(Service& service, uint16_t port)
-    : TcpServer(service, legacy_options(port)) {}
-
-TcpServer::TcpServer(Service& service, const TransportOptions& options)
-    : service_(service),
-      options_(options),
-      counters_("threads", options.name),
-      trace_(options.name) {
-  Listener l = open_listener(options_.listen, /*nonblocking=*/false);
-  listen_fd_ = l.fd;
-  port_ = l.port;
-  acceptor_ = std::thread([this] { accept_loop(); });
-}
-
-TcpServer::~TcpServer() { stop(); }
-
-void TcpServer::stop() {
-  bool expected = false;
-  if (!stopping_.compare_exchange_strong(expected, true)) {
-    // Already stopping/stopped; still join in case of a racing caller.
-    if (acceptor_.joinable()) acceptor_.join();
-  } else {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    if (acceptor_.joinable()) acceptor_.join();
-    ::close(listen_fd_);
-  }
-  std::vector<std::unique_ptr<ConnectionSlot>> connections;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    connections.swap(connections_);
-    for (auto& slot : connections) {
-      if (slot->fd >= 0) ::shutdown(slot->fd, SHUT_RDWR);
-    }
-  }
-  for (auto& slot : connections) {
-    if (slot->thread.joinable()) slot->thread.join();
-  }
-}
-
-void TcpServer::reap_finished_locked() {
-  for (size_t i = 0; i < connections_.size();) {
-    if (connections_[i]->done.load(std::memory_order_acquire)) {
-      if (connections_[i]->thread.joinable()) connections_[i]->thread.join();
-      connections_[i] = std::move(connections_.back());
-      connections_.pop_back();
-    } else {
-      ++i;
-    }
-  }
-}
-
-void TcpServer::accept_loop() {
-  while (!stopping_.load()) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      // Transient failures must not kill the acceptor: a single EMFILE
-      // burst used to end the loop permanently, leaving a healthy daemon
-      // that silently never answered again. Only a shut-down listening
-      // socket (stop(), or a fatal errno) ends the loop.
-      if (stopping_.load()) break;
-      switch (accept_errno_action(errno)) {
-        case AcceptAction::kRetry:
-          counters_.on_accept_error();
-          continue;
-        case AcceptAction::kRetryBackoff:
-          counters_.on_accept_error();
-          std::this_thread::sleep_for(std::chrono::milliseconds(10));
-          continue;
-        case AcceptAction::kFatal:
-          return;
-      }
-      continue;
-    }
-    if (!counters_.try_accept(options_.max_conns)) {
-      // Over the cap: a typed overload reply when the protocol has one,
-      // then an immediate close — never an unbounded thread.
-      std::string reply = service_.overload_response({});
-      if (!reply.empty()) write_all(fd, reply);
-      ::close(fd);
-      continue;
-    }
-    if (options_.so_sndbuf > 0) {
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.so_sndbuf,
-                   sizeof(options_.so_sndbuf));
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    reap_finished_locked();
-    auto slot = std::make_unique<ConnectionSlot>();
-    slot->fd = fd;
-    // Raw pointer stays valid across vector moves/swaps (unique_ptr slot);
-    // the slot is only destroyed after its thread is joined.
-    ConnectionSlot* raw = slot.get();
-    connections_.push_back(std::move(slot));
-    raw->thread = std::thread([this, raw] {
-      connection_loop(raw);
-      raw->done.store(true, std::memory_order_release);
-    });
-  }
-}
-
-void TcpServer::close_slot(ConnectionSlot* slot, DisconnectReason reason) {
-  counters_.on_close(reason);
-  // Mark closed under the lock so stop() never shutdown()s a recycled fd.
-  std::lock_guard<std::mutex> lock(mu_);
-  ::close(slot->fd);
-  slot->fd = -1;
-}
-
-void TcpServer::connection_loop(ConnectionSlot* slot) {
-  const int fd = slot->fd;
-  std::string buffer;
-  char chunk[kReadChunk];
-  uint64_t last_activity = steady_ms();
-  uint64_t partial_since = 0;  // 0 = no incomplete message pending
-  DisconnectReason reason = DisconnectReason::kPeerClosed;
-  // One trace per request. The first trace on a connection starts at
-  // accept; later ones start when their first bytes arrive. An armed trace
-  // left at close is submitted as "abandoned" by its destructor.
-  obs::SpanContext trace = trace_.begin();
-  trace.stage("accept");
-  bool trace_reading = false;
-  while (true) {
-    // Drain every complete message already buffered before reading more.
-    bool closed = false;
-    while (true) {
-      size_t n;
-      try {
-        n = service_.message_size(buffer);
-      } catch (const ParseError&) {
-        write_all(fd, service_.malformed_response(buffer));
-        trace.finish("malformed");
-        reason = DisconnectReason::kMalformed;
-        closed = true;
-        break;
-      }
-      if (n == 0) break;
-      partial_since = 0;
-      if (!trace) trace = trace_.begin();
-      trace_reading = false;
-      trace.stage("serve");
-      std::string response =
-          service_.serve(std::string_view(buffer).substr(0, n), trace);
-      buffer.erase(0, n);
-      trace.stage("flush");
-      if (!write_all(fd, response)) {
-        trace.finish("error");
-        reason = DisconnectReason::kPeerClosed;
-        closed = true;
-        break;
-      }
-      trace.finish("ok");
-    }
-    if (closed) break;
-    if (!buffer.empty() && partial_since == 0) partial_since = steady_ms();
-
-    // Blocking-read deadline enforcement rides SO_RCVTIMEO: the next read
-    // wakes no later than the earliest applicable deadline, and a timeout
-    // gets a typed reply before the close (the anti-slowloris path — a
-    // byte-at-a-time client is bounded by read_deadline_ms no matter how
-    // steadily it drips).
-    uint64_t wait_ms = 0;  // 0 = block forever
-    DisconnectReason timeout_reason = DisconnectReason::kIdleTimeout;
-    const uint64_t now = steady_ms();
-    if (partial_since != 0 && options_.read_deadline_ms != 0) {
-      uint64_t deadline = partial_since + options_.read_deadline_ms;
-      wait_ms = deadline > now ? deadline - now : 1;
-      timeout_reason = DisconnectReason::kReadDeadline;
-    } else if (options_.idle_timeout_ms != 0) {
-      uint64_t deadline = last_activity + options_.idle_timeout_ms;
-      wait_ms = deadline > now ? deadline - now : 1;
-      timeout_reason = DisconnectReason::kIdleTimeout;
-    }
-    set_read_timeout(fd, wait_ms);
-
-    ssize_t got = ::read(fd, chunk, sizeof(chunk));
-    if (got < 0 && errno == EINTR) continue;
-    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK) &&
-        wait_ms != 0) {
-      // Deadline may have been shortened by SO_RCVTIMEO rounding; re-check.
-      const uint64_t after = steady_ms();
-      const uint64_t deadline =
-          timeout_reason == DisconnectReason::kReadDeadline
-              ? partial_since + options_.read_deadline_ms
-              : last_activity + options_.idle_timeout_ms;
-      if (after < deadline) continue;
-      std::string reply = service_.timeout_response();
-      if (!reply.empty()) write_all(fd, reply);
-      trace.finish("timeout");
-      reason = timeout_reason;
-      break;
-    }
-    if (got <= 0) {
-      reason = got < 0 ? DisconnectReason::kError
-                       : DisconnectReason::kPeerClosed;
-      break;
-    }
-    buffer.append(chunk, static_cast<size_t>(got));
-    if (!trace) trace = trace_.begin();
-    if (trace && !trace_reading) {
-      trace.stage("read");
-      trace_reading = true;
-    }
-    last_activity = steady_ms();
-  }
-  close_slot(slot, stopping_.load() ? DisconnectReason::kServerStop : reason);
 }
 
 TcpClientConnection::TcpClientConnection(const std::string& host,

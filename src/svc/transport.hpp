@@ -9,21 +9,18 @@
 //
 //   LoopbackConnection   in-process, deterministic; what tests and the
 //                        service bench drive
-//   TcpServer            POSIX TCP daemon: accept loop + one thread per
-//                        connection, each running the read/delimit/serve
-//                        loop against the shared Service
-//   EpollServer          (epoll_transport.hpp) fixed pool of event-loop
-//                        threads multiplexing nonblocking sockets — the
-//                        hardened transport for untrusted networks
+//   EpollServer          (epoll_transport.hpp) the TCP daemon: a fixed pool
+//                        of event-loop threads multiplexing nonblocking
+//                        sockets, hardened for untrusted networks
 //   TcpClientConnection  blocking client socket with a response framer
 //
 // Service implementations must be safe to call from many transport threads
 // concurrently; serve() must never throw (protocol errors are responses).
 //
 // Robustness semantics are part of the transport contract, not an add-on:
-// both servers share ListenerOptions (backlog, port), a connection cap with
-// a typed overload reply, idle/read deadlines with a typed timeout reply,
-// and a TransportCounters block that makes every limit, shed decision, and
+// ListenerOptions (backlog, port), a connection cap with a typed overload
+// reply, idle/read deadlines with a typed timeout reply, and a
+// TransportCounters block that makes every limit, shed decision, and
 // disconnect reason visible as obs::Registry instruments.
 #pragma once
 
@@ -31,12 +28,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <vector>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -57,13 +50,12 @@ enum class DisconnectReason : uint8_t {
   kMalformed,        // Service::message_size threw (unresynchronizable head)
   kIdleTimeout,      // no bytes and no pending work for idle_timeout_ms
   kReadDeadline,     // a partial message outlived read_deadline_ms
-  kWriteDeadline,    // queued response bytes outlived write_deadline_ms
   kWriteOverflow,    // per-connection write queue crossed its watermark
   kShed,             // load shedding closed it (no typed reply available)
   kServerStop,       // stop() tore it down
   kError,            // read/write syscall failure
 };
-inline constexpr size_t kDisconnectReasonCount = 9;
+inline constexpr size_t kDisconnectReasonCount = 8;
 const char* disconnect_reason_name(DisconnectReason r);
 
 class Service {
@@ -137,8 +129,8 @@ class LoopbackConnection : public Connection {
 /// Client-side response delimiter: same contract as Service::message_size.
 using Framer = std::function<size_t(std::string_view)>;
 
-/// Listening-socket parameters shared by both transports. Port 0 binds an
-/// ephemeral port (read it back via port()).
+/// Listening-socket parameters. Port 0 binds an ephemeral port (read it back
+/// via port()).
 struct ListenerOptions {
   uint16_t port = 0;
   /// listen(2) backlog — the kernel's queue of not-yet-accepted
@@ -147,9 +139,7 @@ struct ListenerOptions {
   int backlog = 128;
 };
 
-/// Knobs shared by both transports. Fields marked (epoll) are inert on the
-/// thread-per-connection TcpServer, which cannot observe write-queue depth
-/// or global in-flight load from inside a blocking read.
+/// The serving edge's limits.
 struct TransportOptions {
   ListenerOptions listen;
   /// Label for this server's obs series ({listener="name"}); empty = none.
@@ -161,33 +151,28 @@ struct TransportOptions {
   /// Close a connection with no activity — no bytes arriving, no write
   /// progress — after this long. A pure inactivity backstop: it bounds even
   /// a stalled partial message or an undrained response queue when the
-  /// sharper read/write deadlines are not configured. 0 = never.
+  /// sharper read deadline is not configured. 0 = never.
   uint32_t idle_timeout_ms = 0;
   /// A partial message at the head of the buffer must complete within this
   /// deadline or the connection is closed with a typed timeout reply —
   /// the anti-slowloris knob. 0 = never.
   uint32_t read_deadline_ms = 0;
-  /// (epoll) Queued response bytes must drain within this deadline. 0 = never.
-  uint32_t write_deadline_ms = 0;
-  /// (epoll) Per-connection write-queue watermark in bytes; a reader slow
-  /// enough to queue more than this is disconnected instead of ballooning
-  /// memory.
+  /// Per-connection write-queue watermark in bytes; a reader slow enough to
+  /// queue more than this is disconnected instead of ballooning memory.
   size_t max_write_buffer = 4u << 20;
-  /// (epoll) Load-shedding pivot: with max_inflight = M, kBulk messages are
+  /// Load-shedding pivot: with max_inflight = M, kBulk messages are
   /// shed once in-flight work reaches max(1, M/2), kNormal at M, kControl
   /// at 2*M. In-flight = messages being served plus responses not yet
   /// flushed to the kernel. 0 disables shedding.
   size_t max_inflight = 0;
-  /// (epoll) Number of event-loop threads.
+  /// Number of event-loop threads.
   unsigned event_threads = 2;
-  /// (epoll) Timer-wheel granularity; deadlines are enforced within one tick.
-  uint32_t tick_ms = 16;
   /// Per-connection SO_SNDBUF override (0 = kernel default). Mostly for
   /// tests that need a small kernel buffer to exercise backpressure.
   int so_sndbuf = 0;
 };
 
-/// Counters every transport shares. Values are monotonically increasing
+/// The transport's counters. Values are monotonically increasing
 /// (except `open`) and mutually unsynchronized, same contract as
 /// ServerStats.
 struct TransportStats {
@@ -199,7 +184,7 @@ struct TransportStats {
   std::array<uint64_t, kDisconnectReasonCount> disconnects{};
 };
 
-/// Internal: the instrument block both transports record into. Plain
+/// Internal: the instrument block the transport records into. Plain
 /// atomics back the stats() API; obs handles (bound from the installed
 /// registry, no-ops otherwise) put the same numbers on /metrics.
 class TransportCounters {
@@ -265,74 +250,15 @@ struct TraceBinding {
 enum class AcceptAction : uint8_t { kRetry, kRetryBackoff, kFatal };
 AcceptAction accept_errno_action(int err);
 
-/// A bound, listening socket. Failures anywhere — including setsockopt and
-/// O_NONBLOCK, which used to be ignored — throw std::runtime_error.
+/// A bound, nonblocking, listening socket. Failures anywhere, setsockopt
+/// and O_NONBLOCK included, throw std::runtime_error.
 struct Listener {
   int fd = -1;
   uint16_t port = 0;
 };
-Listener open_listener(const ListenerOptions& options, bool nonblocking);
+Listener open_listener(const ListenerOptions& options);
 
-/// The common face of TcpServer and EpollServer, so frontends and tests can
-/// hold either behind one pointer.
-class TransportServer {
- public:
-  virtual ~TransportServer() = default;
-  virtual uint16_t port() const = 0;
-  /// Stop accepting, shut down open connections, join all threads.
-  /// Idempotent; also run by destructors.
-  virtual void stop() = 0;
-  virtual TransportStats stats() const = 0;
-};
-
-/// Blocking TCP daemon on 127.0.0.1. One accept thread; one thread per
-/// connection. Honors max_conns / idle_timeout_ms / read_deadline_ms from
-/// TransportOptions (deadlines via SO_RCVTIMEO on the blocking reads);
-/// write-queue and shedding knobs need the epoll transport.
-class TcpServer : public TransportServer {
- public:
-  /// Throws std::runtime_error if the socket cannot be bound.
-  explicit TcpServer(Service& service, uint16_t port = 0);
-  TcpServer(Service& service, const TransportOptions& options);
-  ~TcpServer() override;
-
-  TcpServer(const TcpServer&) = delete;
-  TcpServer& operator=(const TcpServer&) = delete;
-
-  uint16_t port() const override { return port_; }
-
-  /// Connections accepted over the server's lifetime.
-  size_t connections_accepted() const { return counters_.snapshot().accepted; }
-
-  void stop() override;
-  TransportStats stats() const override { return counters_.snapshot(); }
-
- private:
-  struct ConnectionSlot {
-    int fd = -1;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
-  void accept_loop();
-  void connection_loop(ConnectionSlot* slot);
-  void close_slot(ConnectionSlot* slot, DisconnectReason reason);
-  /// Reap finished connection slots so the vector doesn't grow forever.
-  void reap_finished_locked();
-
-  Service& service_;
-  TransportOptions options_;
-  mutable TransportCounters counters_;
-  TraceBinding trace_;
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::thread acceptor_;
-  std::mutex mu_;
-  std::vector<std::unique_ptr<ConnectionSlot>> connections_;
-};
-
-/// Blocking client socket to a TcpServer/EpollServer. `framer` delimits
+/// Blocking client socket to an EpollServer. `framer` delimits
 /// responses (svc::frame_size for the binary protocol, whois_response_size
 /// for whois).
 class TcpClientConnection : public Connection {

@@ -2,7 +2,7 @@
 //
 // The whois protocol is newline-delimited where the binary protocol is
 // length-prefixed; this adapter supplies the delimiting so the same
-// TcpServer / LoopbackConnection core serves both. Lines are capped — a
+// EpollServer / LoopbackConnection core serves both. Lines are capped — a
 // peer that streams garbage without a newline gets an F response and a
 // closed connection instead of an unbounded buffer.
 #pragma once

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cstdint>
 
 #include "util/error.hpp"
 
@@ -81,5 +82,35 @@ unsigned long parse_u64(std::string_view s) {
   }
   return value;
 }
+
+namespace {
+
+template <typename T>
+std::string number_text(T v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+}  // namespace
+
+template <typename T>
+T parse_number(std::string_view s, T lo, T hi) {
+  T value{};
+  const char* last = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), last, value);
+  // Negated so NaN, which compares false both ways, is out of range.
+  if (ec != std::errc() || ptr != last || !(lo <= value && value <= hi)) {
+    throw ParseError("not a number in [" + number_text(lo) + ", " +
+                     number_text(hi) + "]: '" + std::string(s) + "'");
+  }
+  return value;
+}
+
+template uint16_t parse_number(std::string_view, uint16_t, uint16_t);
+template int32_t parse_number(std::string_view, int32_t, int32_t);
+template uint32_t parse_number(std::string_view, uint32_t, uint32_t);
+template int64_t parse_number(std::string_view, int64_t, int64_t);
+template uint64_t parse_number(std::string_view, uint64_t, uint64_t);
+template double parse_number(std::string_view, double, double);
 
 }  // namespace droplens::util

@@ -1,6 +1,7 @@
 // Small string helpers used by the parsers (RPSL, delegation files, SBL text).
 #pragma once
 
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,5 +28,15 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
 /// Parse a non-negative integer; throws ParseError on junk or overflow.
 unsigned long parse_u64(std::string_view s);
+
+/// Parse all of `s` as a decimal number of type T in [lo, hi]: the strict
+/// parser behind the numeric flags of droplensd, full_report and
+/// snapshot_tool. No whitespace, no trailing bytes, no sign on unsigned
+/// types, no overflow, no NaN; anything else throws ParseError naming the
+/// value and the range. Instantiated for the fixed-width integer types and
+/// double.
+template <typename T>
+T parse_number(std::string_view s, T lo = std::numeric_limits<T>::lowest(),
+               T hi = std::numeric_limits<T>::max());
 
 }  // namespace droplens::util

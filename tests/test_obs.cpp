@@ -794,7 +794,7 @@ TEST(AdminPlane, RoutesServeOverTcp) {
   svc::AdminHttpService admin(aopt);
   admin.add_status_section("extra", [] { return std::string("k v\n"); });
 
-  svc::TcpServer tcp(admin, svc::TransportOptions{});
+  svc::EpollServer tcp(admin, svc::TransportOptions{});
   svc::TcpClientConnection conn("127.0.0.1", tcp.port(),
                                 admintest::http_framer);
 
@@ -861,7 +861,7 @@ TEST(AdminPlane, HealthzFlipsTo503WhenStoreIsEmptied) {
                : std::optional<std::string>("no resident days");
   });
 
-  svc::TcpServer tcp(admin, svc::TransportOptions{});
+  svc::EpollServer tcp(admin, svc::TransportOptions{});
   svc::TcpClientConnection conn("127.0.0.1", tcp.port(),
                                 admintest::http_framer);
   std::string healthy = conn.roundtrip("GET /healthz HTTP/1.1\r\n\r\n");

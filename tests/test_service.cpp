@@ -13,6 +13,7 @@
 #include "net/segment_map.hpp"
 #include "sim/generator.hpp"
 #include "svc/client.hpp"
+#include "svc/epoll_transport.hpp"
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
 #include "svc/snapshot.hpp"
@@ -295,7 +296,7 @@ TEST_F(ServiceWorldTest, TcpRoundtripMatchesLoopback) {
   auto snap = svc::compile_snapshot(s, index, d, 9);
 
   svc::Server server(snap);
-  svc::TcpServer tcp(server);
+  svc::EpollServer tcp(server, svc::TransportOptions{});
   ASSERT_GT(tcp.port(), 0);
 
   svc::TcpClientConnection conn("127.0.0.1", tcp.port(), svc::frame_size);
@@ -310,13 +311,13 @@ TEST_F(ServiceWorldTest, TcpRoundtripMatchesLoopback) {
   EXPECT_EQ(client.query(batch), reference.query(batch));
   EXPECT_GE(client.stats().requests, 2u);
   tcp.stop();
-  EXPECT_EQ(tcp.connections_accepted(), 1u);
+  EXPECT_EQ(tcp.stats().accepted, 1u);
 }
 
 TEST_F(ServiceWorldTest, WhoisRidesTheSameTransport) {
   irr::WhoisServer whois(world_->irr, config_->window_begin + 60);
   svc::WhoisService service(whois);
-  svc::TcpServer tcp(service);
+  svc::EpollServer tcp(service, svc::TransportOptions{});
 
   svc::TcpClientConnection conn("127.0.0.1", tcp.port(),
                                 svc::whois_response_size);

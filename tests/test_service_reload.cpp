@@ -17,6 +17,7 @@
 #include "core/drop_index.hpp"
 #include "sim/generator.hpp"
 #include "svc/client.hpp"
+#include "svc/epoll_transport.hpp"
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
 #include "svc/snapshot.hpp"
@@ -115,7 +116,7 @@ TEST_F(ServiceReloadTest, ReloadOverTcpKeepsClientsConnected) {
   auto snap2 = svc::compile_snapshot(s, index, d, 2);  // same date, new version
 
   svc::Server server(snap1);
-  svc::TcpServer tcp(server);
+  svc::EpollServer tcp(server, svc::TransportOptions{});
   svc::TcpClientConnection conn("127.0.0.1", tcp.port(), svc::frame_size);
   svc::Client client(conn);
 

@@ -1,9 +1,9 @@
 // The hardened serving edge: timer-wheel semantics, accept-errno policy,
 // connection caps with typed refusals, idle/read deadlines (the slowloris
-// regression, on both transports and all three protocol fronts), write-queue
-// backpressure, shed-priority ordering, hostile-client drills via
-// sim::NetFaultInjector, and byte-identical answers across the threads and
-// epoll transports.
+// regression, on all three protocol fronts), write-queue backpressure and
+// the flush grace for a peer that never reads its eviction notice,
+// shed-priority ordering, hostile-client drills via sim::NetFaultInjector,
+// and answers over TCP byte-identical to their in-process references.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -250,35 +250,19 @@ size_t reason_count(const svc::TransportStats& s, svc::DisconnectReason r) {
 }
 
 // ---------------------------------------------------------------------------
-// Both transports, one contract
+// Caps, deadlines and malformed input, on every protocol front
 
-class TransportEdge : public ::testing::TestWithParam<svc::TransportKind> {
- protected:
-  std::unique_ptr<svc::TransportServer> make(svc::Service& service,
-                                             const svc::TransportOptions& o) {
-    return svc::make_transport_server(GetParam(), service, o);
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Kinds, TransportEdge,
-    ::testing::Values(svc::TransportKind::kThreads,
-                      svc::TransportKind::kEpoll),
-    [](const ::testing::TestParamInfo<svc::TransportKind>& info) {
-      return info.param == svc::TransportKind::kEpoll ? "epoll" : "threads";
-    });
-
-TEST_P(TransportEdge, ConnectionCapRejectsWithTypedReply) {
+TEST(EpollEdge, ConnectionCapRejectsWithTypedReply) {
   EchoService service;
   svc::TransportOptions o;
   o.max_conns = 1;
-  auto server = make(service, o);
+  svc::EpollServer server(service, o);
 
-  svc::TcpClientConnection inside("127.0.0.1", server->port(), line_framer);
+  svc::TcpClientConnection inside("127.0.0.1", server.port(), line_framer);
   EXPECT_EQ(inside.roundtrip("hi\n"), "echo:hi\n");
 
   // The second connection is over the cap: typed refusal, then close.
-  int fd = raw_connect(server->port());
+  int fd = raw_connect(server.port());
   ASSERT_GE(fd, 0);
   bool eof = false;
   EXPECT_EQ(raw_read_to_eof(fd, 3000, &eof), "busy-conn\n");
@@ -287,35 +271,35 @@ TEST_P(TransportEdge, ConnectionCapRejectsWithTypedReply) {
 
   // The in-cap connection is unharmed.
   EXPECT_EQ(inside.roundtrip("still here\n"), "echo:still here\n");
-  svc::TransportStats stats = server->stats();
+  svc::TransportStats stats = server.stats();
   EXPECT_EQ(stats.accepted, 1u);
   EXPECT_EQ(stats.overload_rejected, 1u);
   EXPECT_EQ(stats.open, 1u);
 }
 
-TEST_P(TransportEdge, IdleConnectionGetsTimeoutReplyThenClose) {
+TEST(EpollEdge, IdleConnectionGetsTimeoutReplyThenClose) {
   EchoService service;
   svc::TransportOptions o;
   o.idle_timeout_ms = 150;
-  auto server = make(service, o);
+  svc::EpollServer server(service, o);
 
-  int fd = raw_connect(server->port());
+  int fd = raw_connect(server.port());
   ASSERT_GE(fd, 0);
   bool eof = false;
   EXPECT_EQ(raw_read_to_eof(fd, 5000, &eof), "too-slow\n");
   EXPECT_TRUE(eof);
   ::close(fd);
   EXPECT_TRUE(eventually([&] {
-    return reason_count(server->stats(), svc::DisconnectReason::kIdleTimeout) ==
+    return reason_count(server.stats(), svc::DisconnectReason::kIdleTimeout) ==
            1;
   }));
 }
 
-TEST_P(TransportEdge, MalformedHeadGetsTypedReplyThenClose) {
+TEST(EpollEdge, MalformedHeadGetsTypedReplyThenClose) {
   EchoService service;
-  auto server = make(service, svc::TransportOptions{});
+  svc::EpollServer server(service, svc::TransportOptions{});
 
-  int fd = raw_connect(server->port());
+  int fd = raw_connect(server.port());
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(raw_send(fd, std::string(EchoService::kMaxLine + 20, 'z')));
   bool eof = false;
@@ -323,7 +307,7 @@ TEST_P(TransportEdge, MalformedHeadGetsTypedReplyThenClose) {
   EXPECT_TRUE(eof);
   ::close(fd);
   EXPECT_TRUE(eventually([&] {
-    return reason_count(server->stats(), svc::DisconnectReason::kMalformed) ==
+    return reason_count(server.stats(), svc::DisconnectReason::kMalformed) ==
            1;
   }));
 }
@@ -331,16 +315,16 @@ TEST_P(TransportEdge, MalformedHeadGetsTypedReplyThenClose) {
 // The slowloris regression, against the whois front: a byte-at-a-time
 // client must be disconnected at the read deadline with the typed F line,
 // no matter how steadily it drips.
-TEST_P(TransportEdge, WhoisSlowlorisIsCutAtReadDeadline) {
+TEST(EpollEdge, WhoisSlowlorisIsCutAtReadDeadline) {
   irr::Database db;
   irr::WhoisServer whois(db, net::Date::parse("2021-01-01"));
   svc::WhoisService service(whois);
   svc::TransportOptions o;
   o.read_deadline_ms = 150;
-  auto server = make(service, o);
+  svc::EpollServer server(service, o);
 
   sim::NetFaultInjector::Config config;
-  config.port = server->port();
+  config.port = server.port();
   config.seed = 42;
   config.message = "!gAS64500\n";
   config.clients = 4;
@@ -354,18 +338,18 @@ TEST_P(TransportEdge, WhoisSlowlorisIsCutAtReadDeadline) {
   EXPECT_EQ(report.gave_up, 0u);
   EXPECT_GT(report.bytes_received, 0u);  // the typed F replies
   EXPECT_TRUE(eventually([&] {
-    return reason_count(server->stats(),
+    return reason_count(server.stats(),
                         svc::DisconnectReason::kReadDeadline) == 4;
   }));
 }
 
-TEST_P(TransportEdge, WhoisOverlongLineIsRefusedNotBuffered) {
+TEST(EpollEdge, WhoisOverlongLineIsRefusedNotBuffered) {
   irr::Database db;
   irr::WhoisServer whois(db, net::Date::parse("2021-01-01"));
   svc::WhoisService service(whois);
-  auto server = make(service, svc::TransportOptions{});
+  svc::EpollServer server(service, svc::TransportOptions{});
 
-  int fd = raw_connect(server->port());
+  int fd = raw_connect(server.port());
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(raw_send(fd, std::string(svc::WhoisService::kMaxLine + 10, 'x')));
   bool eof = false;
@@ -374,14 +358,14 @@ TEST_P(TransportEdge, WhoisOverlongLineIsRefusedNotBuffered) {
   ::close(fd);
 }
 
-TEST_P(TransportEdge, HttpSlowlorisGets408) {
+TEST(EpollEdge, HttpSlowlorisGets408) {
   obs::Registry registry;
   svc::AdminHttpService service(registry);
   svc::TransportOptions o;
   o.read_deadline_ms = 150;
-  auto server = make(service, o);
+  svc::EpollServer server(service, o);
 
-  int fd = raw_connect(server->port());
+  int fd = raw_connect(server.port());
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(raw_send(fd, "GET /metr"));  // head never completes
   bool eof = false;
@@ -391,12 +375,12 @@ TEST_P(TransportEdge, HttpSlowlorisGets408) {
   ::close(fd);
 }
 
-TEST_P(TransportEdge, HttpOversizedHeadGets431) {
+TEST(EpollEdge, HttpOversizedHeadGets431) {
   obs::Registry registry;
   svc::AdminHttpService service(registry);
-  auto server = make(service, svc::TransportOptions{});
+  svc::EpollServer server(service, svc::TransportOptions{});
 
-  int fd = raw_connect(server->port());
+  int fd = raw_connect(server.port());
   ASSERT_GE(fd, 0);
   std::string head = "GET /metrics HTTP/1.1\r\nX-Filler: ";
   head.append(svc::AdminHttpService::kMaxHead, 'a');  // never terminated
@@ -408,12 +392,12 @@ TEST_P(TransportEdge, HttpOversizedHeadGets431) {
   ::close(fd);
 }
 
-TEST_P(TransportEdge, HttpOversizedBodyGets413) {
+TEST(EpollEdge, HttpOversizedBodyGets413) {
   obs::Registry registry;
   svc::AdminHttpService service(registry);
-  auto server = make(service, svc::TransportOptions{});
+  svc::EpollServer server(service, svc::TransportOptions{});
 
-  int fd = raw_connect(server->port());
+  int fd = raw_connect(server.port());
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(raw_send(fd,
                        "POST /metrics HTTP/1.1\r\nContent-Length: "
@@ -426,7 +410,7 @@ TEST_P(TransportEdge, HttpOversizedBodyGets413) {
 }
 
 // ---------------------------------------------------------------------------
-// Epoll-only semantics: backpressure, shedding, floods
+// Backpressure, shedding, floods
 
 TEST(EpollEdge, WriteQueueWatermarkDisconnectsSlowReader) {
   EchoService service;
@@ -469,6 +453,34 @@ TEST(EpollEdge, NeverReadingClientIsBounded) {
     return reason_count(server.stats(),
                         svc::DisconnectReason::kWriteOverflow) == 3;
   }));
+}
+
+// An idle eviction queues its timeout reply behind a response the peer never
+// reads, and the queue stays under the default 4 MiB watermark, so overflow
+// never fires. The flush grace, counted from when the queue stalled, is the
+// one bound left: the close comes about 1 s after the send, not at the idle
+// timeout and not never.
+TEST(EpollEdge, PeerThatNeverReadsItsEvictionNoticeIsClosedAfterGrace) {
+  EchoService service;
+  svc::TransportOptions o;
+  o.idle_timeout_ms = 100;
+  o.so_sndbuf = 4096;
+  svc::EpollServer server(service, o);
+
+  int fd = raw_connect(server.port(), /*rcvbuf=*/8192);
+  ASSERT_GE(fd, 0);
+  const auto sent = std::chrono::steady_clock::now();
+  ASSERT_TRUE(raw_send(fd, "big 262144\n"));
+  EXPECT_TRUE(eventually([&] {
+    return reason_count(server.stats(),
+                        svc::DisconnectReason::kIdleTimeout) == 1;
+  }));
+  EXPECT_GE(std::chrono::steady_clock::now() - sent, 900ms);
+  svc::TransportStats stats = server.stats();
+  EXPECT_EQ(reason_count(stats, svc::DisconnectReason::kIdleTimeout), 1u);
+  EXPECT_EQ(reason_count(stats, svc::DisconnectReason::kWriteOverflow), 0u);
+  EXPECT_EQ(stats.open, 0u);
+  ::close(fd);
 }
 
 TEST(EpollEdge, ShedsLowestPriorityFirstServesControlLast) {
@@ -572,7 +584,7 @@ TEST(EpollEdge, StopWhileConnectionsAreOpenCountsServerStop) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-transport fidelity: same Service, byte-identical wire behavior
+// Wire fidelity: same Service, byte-identical to the in-process reference
 
 class TransportWorld : public ::testing::Test {
  protected:
@@ -602,9 +614,7 @@ TEST_F(TransportWorld, BinaryAnswersAreByteIdenticalAcrossTransports) {
   net::Date d = config_->window_begin + 60;
   svc::Server server(svc::compile_snapshot(s, index, d, 7));
 
-  svc::TransportOptions o;
-  svc::TcpServer threads_srv(server, o);
-  svc::EpollServer epoll_srv(server, o);
+  svc::EpollServer epoll_srv(server, svc::TransportOptions{});
 
   std::vector<svc::Query> batch;
   for (const core::DropEntry& e : index.entries()) {
@@ -615,20 +625,15 @@ TEST_F(TransportWorld, BinaryAnswersAreByteIdenticalAcrossTransports) {
   ASSERT_FALSE(batch.empty());
   const std::string request = svc::encode_query_request(batch);
 
-  svc::TcpClientConnection via_threads("127.0.0.1", threads_srv.port(),
-                                       svc::frame_size);
   svc::TcpClientConnection via_epoll("127.0.0.1", epoll_srv.port(),
                                      svc::frame_size);
   svc::LoopbackConnection loop(server);
-  const std::string reference = loop.roundtrip(request);
-  EXPECT_EQ(via_threads.roundtrip(request), reference);
-  EXPECT_EQ(via_epoll.roundtrip(request), reference);
+  EXPECT_EQ(via_epoll.roundtrip(request), loop.roundtrip(request));
 }
 
 TEST_F(TransportWorld, WhoisAnswersAreByteIdenticalAcrossTransports) {
   irr::WhoisServer whois(world_->irr, config_->window_begin + 60);
   svc::WhoisService service(whois);
-  svc::TcpServer threads_srv(service, svc::TransportOptions{});
   svc::EpollServer epoll_srv(service, svc::TransportOptions{});
 
   net::Asn origin(0);
@@ -643,14 +648,11 @@ TEST_F(TransportWorld, WhoisAnswersAreByteIdenticalAcrossTransports) {
       "!gAS4294967296\n",  // bad ASN: typed F line
       "!gASbanana\n",
   };
-  svc::TcpClientConnection via_threads("127.0.0.1", threads_srv.port(),
-                                       svc::whois_response_size);
   svc::TcpClientConnection via_epoll("127.0.0.1", epoll_srv.port(),
                                      svc::whois_response_size);
   for (const std::string& q : queries) {
     const std::string direct =
         whois.handle(std::string_view(q).substr(0, q.size() - 1));
-    EXPECT_EQ(via_threads.roundtrip(q), direct) << q;
     EXPECT_EQ(via_epoll.roundtrip(q), direct) << q;
   }
 }

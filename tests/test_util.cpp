@@ -68,6 +68,38 @@ TEST(Strings, ParseU64) {
   EXPECT_THROW(parse_u64("99999999999999999999999"), ParseError);
 }
 
+TEST(Strings, ParseNumberTakesOnlyWholeValuesInRange) {
+  EXPECT_EQ(parse_number<uint16_t>("0"), 0u);
+  EXPECT_EQ(parse_number<uint16_t>("65535"), 65535u);
+  EXPECT_THROW(parse_number<uint16_t>("65536"), ParseError);
+  EXPECT_THROW(parse_number<uint16_t>("banana"), ParseError);
+  EXPECT_THROW(parse_number<uint16_t>(""), ParseError);
+  EXPECT_THROW(parse_number<uint16_t>(" 1"), ParseError);
+  EXPECT_THROW(parse_number<uint16_t>("+1"), ParseError);
+  EXPECT_THROW(parse_number<uint16_t>("1x"), ParseError);
+  EXPECT_THROW(parse_number<uint32_t>("-1"), ParseError);
+  EXPECT_EQ(parse_number<uint32_t>("4294967295"), 4294967295u);
+  EXPECT_THROW(parse_number<uint32_t>("4294967296"), ParseError);
+  EXPECT_EQ(parse_number<int64_t>("-3", -5, 5), -3);
+  EXPECT_THROW(parse_number<int64_t>("6", -5, 5), ParseError);
+  EXPECT_THROW(parse_number<int64_t>("-6", -5, 5), ParseError);
+  EXPECT_EQ(parse_number<uint64_t>("18446744073709551615"),
+            18446744073709551615u);
+  EXPECT_THROW(parse_number<uint64_t>("18446744073709551616"), ParseError);
+  EXPECT_DOUBLE_EQ(parse_number<double>("0.5", 0.0), 0.5);
+  EXPECT_DOUBLE_EQ(parse_number<double>("50", 0.0), 50.0);
+  EXPECT_THROW(parse_number<double>("-1", 0.0), ParseError);
+  EXPECT_THROW(parse_number<double>("nan", 0.0), ParseError);
+  EXPECT_THROW(parse_number<double>("inf", 0.0), ParseError);
+  EXPECT_THROW(parse_number<double>("abc", 0.0), ParseError);
+  try {
+    parse_number<uint16_t>("70000");
+    FAIL() << "70000 is not a port";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "not a number in [0, 65535]: '70000'");
+  }
+}
+
 TEST(Csv, QuotesOnlyWhenNeeded) {
   std::ostringstream out;
   CsvWriter csv(out);

@@ -35,6 +35,7 @@
 #include "sim/generator.hpp"
 #include "svc/client.hpp"
 #include "svc/admin_http.hpp"
+#include "svc/epoll_transport.hpp"
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
 #include "svc/snapshot.hpp"
@@ -448,7 +449,7 @@ TEST(WindowHttp, MessageSizeConsumesDeclaredBodies) {
 TEST(WindowHttp, KeepAliveOverTcpSurvivesRequestBodies) {
   obs::Registry reg;
   svc::AdminHttpService http(reg);
-  svc::TcpServer tcp(http);
+  svc::EpollServer tcp(http, svc::TransportOptions{});
 
   // A response framer: head plus its declared Content-Length body.
   auto framer = [](std::string_view b) -> size_t {
@@ -472,7 +473,7 @@ TEST(WindowHttp, KeepAliveOverTcpSurvivesRequestBodies) {
   EXPECT_NE(r1.find("200 OK"), std::string::npos);
   std::string r2 = conn.roundtrip("GET /metrics HTTP/1.1\r\n\r\n");
   EXPECT_NE(r2.find("200 OK"), std::string::npos);
-  EXPECT_EQ(tcp.connections_accepted(), 1u)
+  EXPECT_EQ(tcp.stats().accepted, 1u)
       << "the second request should ride the same connection";
   tcp.stop();
 }
