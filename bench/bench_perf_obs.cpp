@@ -2,9 +2,11 @@
 //
 // The contract the obs library sells: an uncontended counter increment is a
 // single relaxed atomic add (a few ns), a no-op handle costs one branch,
-// and spans cost nothing when no tracer is installed. This bench measures
-// each, plus the contended case and page rendering, so a regression in the
-// hot path shows up as a number — EXPERIMENTS.md records the baseline.
+// and a pipeline span costs one atomic load and a branch when no flight
+// recorder is installed. This bench measures each, plus the span with a
+// recorder installed, the contended case and page rendering, so a
+// regression in the hot path shows up as a number — EXPERIMENTS.md records
+// the baseline.
 //
 // The SpanContext rows price the request flight recorder's ladder: an inert
 // context (recorder absent), the parked-resume shape the epoll transport
@@ -13,6 +15,9 @@
 // worst case (every request sampled into the recent ring).
 //
 //   $ ./bench_perf_obs [--ops=N] [--threads=N]
+//
+// --ops must be at least 1 and --threads in 1..1024; anything else prints
+// the usage line and exits 2.
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -25,7 +30,8 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
-#include "obs/trace.hpp"
+#include "util/error.hpp"
+#include "util/strings.hpp"
 
 using namespace droplens;
 
@@ -53,17 +59,30 @@ void row(const char* name, double ns) {
   std::cout << name << "  " << ns << " ns/op\n";
 }
 
+int usage() {
+  std::cerr << "usage: bench_perf_obs [--ops=N] [--threads=1..1024]\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   uint64_t ops = 50'000'000;
   unsigned threads = 4;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--ops=", 6) == 0) {
-      ops = std::stoull(argv[i] + 6);
-    }
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<unsigned>(std::stoul(argv[i] + 10));
+    const char* arg = argv[i];
+    try {
+      if (std::strncmp(arg, "--ops=", 6) == 0) {
+        ops = util::parse_number<uint64_t>(arg + 6, 1);
+      } else if (std::strncmp(arg, "--threads=", 10) == 0) {
+        threads = util::parse_number<uint32_t>(arg + 10, 1, 1024);
+      } else {
+        std::cerr << "unknown flag: " << arg << "\n";
+        return usage();
+      }
+    } catch (const ParseError& e) {
+      std::cerr << arg << ": " << e.what() << "\n";
+      return usage();
     }
   }
 
@@ -79,14 +98,14 @@ int main(int argc, char** argv) {
       ns_per_op(ops, [&noop] { noop.inc(); }));
   row("histogram.observe",
       ns_per_op(ops, [&hist] { hist.observe(1234); }));
-  row("span          (no tracer)", ns_per_op(ops, [] {
+  row("span          (no recorder)", ns_per_op(ops, [] {
         obs::Span span("bench");
         keep(span);
       }));
   {
-    obs::Tracer tracer(16);
-    obs::ScopedTracer scoped(tracer);
-    row("span          (tracer installed)", ns_per_op(ops / 50, [] {
+    obs::FlightRecorder recorder;  // droplensd's: 1/1024 sampling
+    obs::ScopedFlightRecorder scoped(recorder);
+    row("span          (recorder installed)", ns_per_op(ops / 50, [] {
           obs::Span span("bench");
           keep(span);
         }));

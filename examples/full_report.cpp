@@ -7,9 +7,13 @@
 // (--threads, else DROPLENS_THREADS, else hardware_concurrency; 1 forces
 // the sequential path). Output is byte-identical for any thread count.
 //
-// --trace installs an obs::Tracer for the run and dumps the recorded span
-// trees (per-stage wall/CPU time) to stderr afterwards; stdout — the report
-// itself — is byte-identical with and without it.
+// --trace installs an obs::FlightRecorder that keeps every span, and logs
+// its /tracez page to stderr afterwards: one "pipeline" trace per span
+// (core.write_report and each analysis) with its wall time. stdout — the
+// report itself — is byte-identical with and without it.
+//
+// An unknown flag, or a numeric value that is not a whole number in range,
+// prints the usage line and exits 2 before the world is generated.
 //
 // Fault drill: the DROP substrate can be round-tripped through its text
 // archive with deterministic damage before the analyses run —
@@ -24,7 +28,6 @@
 #include <cstring>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,8 +35,8 @@
 #include "core/data_quality.hpp"
 #include "core/report.hpp"
 #include "drop/feed.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/log.hpp"
-#include "obs/trace.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/generator.hpp"
 #include "util/error.hpp"
@@ -41,6 +44,17 @@
 #include "util/strings.hpp"
 
 using namespace droplens;
+
+namespace {
+
+int usage() {
+  DLOG_ERROR(
+      "usage: full_report [--full] [--series] [--threads=N] [--trace] "
+      "[--corrupt=SEED] [--drop-days=N] [--lenient]");
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   bool full = false;
@@ -51,24 +65,29 @@ int main(int argc, char** argv) {
   core::ReportOptions options;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strcmp(arg, "--full") == 0) full = true;
-    if (std::strcmp(arg, "--series") == 0) options.include_series = true;
-    if (std::strcmp(arg, "--lenient") == 0) lenient = true;
-    if (std::strcmp(arg, "--trace") == 0) trace = true;
     try {
-      if (std::strncmp(arg, "--threads=", 10) == 0) {
+      if (std::strcmp(arg, "--full") == 0) {
+        full = true;
+      } else if (std::strcmp(arg, "--series") == 0) {
+        options.include_series = true;
+      } else if (std::strcmp(arg, "--lenient") == 0) {
+        lenient = true;
+      } else if (std::strcmp(arg, "--trace") == 0) {
+        trace = true;
+      } else if (std::strncmp(arg, "--threads=", 10) == 0) {
         options.threads = util::parse_number<uint32_t>(arg + 10, 0, 1024);
-      }
-      if (std::strncmp(arg, "--corrupt=", 10) == 0) {
+      } else if (std::strncmp(arg, "--corrupt=", 10) == 0) {
         corrupt_seed = util::parse_number<uint64_t>(arg + 10);
-      }
-      if (std::strncmp(arg, "--drop-days=", 12) == 0) {
+      } else if (std::strncmp(arg, "--drop-days=", 12) == 0) {
         drop_days = util::parse_number<int32_t>(arg + 12, 0, 1000);
+      } else {
+        DLOG_ERROR("unknown flag", {{"flag", arg}});
+        return usage();
       }
     } catch (const ParseError& e) {
       DLOG_ERROR("flag expects an integer",
                  {{"flag", arg}, {"error", e.what()}});
-      return 2;
+      return usage();
     }
   }
   sim::ScenarioConfig config =
@@ -131,18 +150,20 @@ int main(int argc, char** argv) {
   if (replayed) study.quality = &quality;
   if (trace) {
     // Timing goes to stderr; the report on stdout stays byte-identical.
-    obs::Tracer tracer;
+    // Every span is sampled; the ring holds the last 256 of them.
+    obs::FlightRecorder::Options recorder_options;
+    recorder_options.sample_period = 1;
+    recorder_options.recent_capacity = 256;
+    obs::FlightRecorder recorder(recorder_options);
     {
-      obs::ScopedTracer scoped(tracer);
+      obs::ScopedFlightRecorder scoped(recorder);
       core::write_report(std::cout, study, options);
     }
-    // The tree goes out as one record (newlines escape in both formats);
+    // The page goes out as one record (newlines escape in both formats);
     // a per-line record would trip the per-site rate limiter mid-dump.
-    std::ostringstream tree;
-    tracer.render(tree);
     DLOG_INFO("span trace",
-              {{"roots", std::to_string(tracer.submitted())},
-               {"tree", tree.str()}});
+              {{"spans", std::to_string(recorder.finished())},
+               {"tracez", recorder.render_tracez()}});
   } else {
     core::write_report(std::cout, study, options);
   }

@@ -7,8 +7,8 @@
 #include <ostream>
 #include <string_view>
 
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace droplens::bgp {

@@ -1,7 +1,7 @@
 #include "core/as0_analysis.hpp"
 
 #include "core/engine.hpp"
-#include "obs/trace.hpp"
+#include "obs/flight_recorder.hpp"
 #include "rpki/as0_policy.hpp"
 
 namespace droplens::core {

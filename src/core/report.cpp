@@ -18,7 +18,7 @@
 #include "core/serial_hijackers.hpp"
 #include "core/snapshot_cache.hpp"
 #include "core/visibility.hpp"
-#include "obs/trace.hpp"
+#include "obs/flight_recorder.hpp"
 #include "util/text_table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -34,8 +34,8 @@ void heading(std::ostream& out, const std::string& title) {
 
 int write_report(std::ostream& out, const Study& base_study,
                  const ReportOptions& options) {
-  // Root span of the pipeline: the per-stage spans inside the analyses nest
-  // under it, so `full_report --trace` shows one tree per run.
+  // The whole run as one pipeline trace; each analysis below records its
+  // own, so `full_report --trace` lists the run next to its stages.
   obs::Span span("core.write_report");
   // Attach the engine unless the caller brought their own: one thread pool
   // (options.threads; 0 defers to DROPLENS_THREADS / hardware_concurrency,

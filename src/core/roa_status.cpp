@@ -4,7 +4,7 @@
 #include <map>
 
 #include "core/engine.hpp"
-#include "obs/trace.hpp"
+#include "obs/flight_recorder.hpp"
 
 namespace droplens::core {
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "core/engine.hpp"
-#include "obs/trace.hpp"
+#include "obs/flight_recorder.hpp"
 
 namespace droplens::core {
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 

@@ -1,7 +1,7 @@
 #include "irr/rpsl.hpp"
 
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 

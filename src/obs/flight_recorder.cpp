@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <exception>
 #include <limits>
 #include <stdexcept>
 
@@ -303,6 +304,22 @@ std::optional<Exemplar> FlightRecorder::exemplar(const std::string& family,
   ex.timestamp_s =
       static_cast<double>(state->exemplar_unix_ns[bucket_index]) / 1e9;
   return ex;
+}
+
+// ---------------------------------------------------------------------------
+// Span
+
+Span::Span(const char* name) {
+  FlightRecorder* r = installed_flight_recorder();
+  if (!r) return;  // inert: no clock read, nothing recorded
+  exceptions_ = std::uncaught_exceptions();
+  ctx_ = r->begin(r->op_class("pipeline"));
+  ctx_.stage(name);
+}
+
+Span::~Span() {
+  if (!ctx_) return;
+  ctx_.finish(std::uncaught_exceptions() > exceptions_ ? "error" : "ok");
 }
 
 void install_flight_recorder(FlightRecorder* r) {

@@ -1,14 +1,17 @@
-// Request flight recorder: explicit span contexts, slow/recent trace rings,
-// and histogram exemplars — the "why was THIS request slow" layer.
+// Flight recorder, the one trace model: explicit span contexts, slow/recent
+// trace rings, and histogram exemplars — the "why was THIS request slow"
+// layer, for requests and pipeline stages alike.
 //
-// obs::Span (trace.hpp) is thread-local RAII: it nests by stack discipline
-// on one thread, which is exactly wrong for a request that hops across
-// epoll event-loop callbacks (read one tick, serve the next, flush a third)
-// or crosses ThreadPool workers. SpanContext detaches the trace from the
-// thread: it is an explicit, movable value that a transport parks on its
-// connection object between callbacks and resumes wherever the next stage
-// runs. One context = one request = one root trace with per-stage timings
-// and a final outcome tag.
+// A trace is a value, not thread state. SpanContext is explicit and
+// movable: a transport parks it on its connection object between epoll
+// callbacks (read one tick, serve the next, flush a third) and resumes it
+// wherever the next stage runs, ThreadPool workers included. One context =
+// one request = one root trace with per-stage timings and a final outcome
+// tag. Span is the RAII form for a pipeline stage that opens and closes in
+// one scope (a feed parser, an analysis, compile_snapshot, a .dls save or
+// load): one trace of op class "pipeline" whose one stage carries the
+// span's name. Spans do not nest; one opened inside another, or on a pool
+// worker, is a trace of its own.
 //
 // The cost model, because this sits on the hot serving path:
 //
@@ -28,13 +31,13 @@
 // Stage names must be string literals (static storage duration) — contexts
 // store the pointer, never copy the bytes.
 //
-// Per op class ("binary", "whois", "http", "ingest", ...) the recorder
-// keeps two bounded rings: the N most recent sampled traces (/tracez) and
-// the K slowest traces ever seen (/slowz) — slowness is judged on EVERY
-// request, sampled or not, so the tail is never missed by the sampler. A
-// per-op log2 duration histogram plus outcome counters go to the obs
-// registry, and every capture stamps a per-bucket exemplar so a p99 bucket
-// on /metrics links to the trace id that produced it.
+// Per op class ("binary", "whois", "http", "ingest", "pipeline", ...) the
+// recorder keeps two bounded rings: the N most recent sampled traces
+// (/tracez) and the K slowest traces ever seen (/slowz) — slowness is
+// judged on EVERY request, sampled or not, so the tail is never missed by
+// the sampler. A per-op log2 duration histogram plus outcome counters go to
+// the obs registry, and every capture stamps a per-bucket exemplar so a p99
+// bucket on /metrics links to the trace id that produced it.
 #pragma once
 
 #include <array>
@@ -173,8 +176,9 @@ class FlightRecorder : public ExemplarSource {
   explicit FlightRecorder(Options options);
 
   /// Intern an op class by name (idempotent; returns a stable index).
-  /// Call once at setup, not per request. Throws std::logic_error past 64
-  /// op classes — that is a naming bug, not a workload.
+  /// Call once at setup, not per request (Span calls it per pipeline stage,
+  /// a scope of tens of µs or more). Throws std::logic_error past 64 op
+  /// classes — that is a naming bug, not a workload.
   uint16_t op_class(const std::string& name);
 
   /// Begin a trace for `op` (an op_class index). Cheap: one relaxed
@@ -274,6 +278,24 @@ class ScopedFlightRecorder {
 
  private:
   FlightRecorder* previous_;
+};
+
+/// RAII pipeline-stage timer: one "pipeline" trace on the recorder installed
+/// at construction, its one stage named `name` (a string literal). Finishes
+/// "ok", or "error" when the scope is left by an exception, so a corrupt
+/// .dls load never reads ok on /slowz. With no recorder installed the span
+/// is inert: one atomic load and a branch, no clock read.
+class Span {
+ public:
+  explicit Span(const char* name);
+  ~Span();
+
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+
+ private:
+  SpanContext ctx_;
+  int exceptions_ = 0;  // std::uncaught_exceptions() at construction
 };
 
 }  // namespace droplens::obs

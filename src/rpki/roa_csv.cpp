@@ -1,7 +1,7 @@
 #include "rpki/roa_csv.hpp"
 
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "obs/prometheus.hpp"
-#include "obs/trace.hpp"
 #include "svc/snapshot_io.hpp"
 #include "svc/snapshot_store.hpp"
 #include "util/error.hpp"
@@ -211,7 +210,6 @@ std::string Server::serve(std::string_view frame, obs::SpanContext& ctx) {
 }
 
 std::string Server::handle_queries(std::string_view payload) {
-  obs::Span span("svc.handle_queries");
   std::vector<Query> queries = decode_query_request(payload);
   if (store_) return handle_store_queries(queries);
   // One snapshot copy per frame: every answer below is computed against it,
@@ -322,7 +320,6 @@ std::string Server::handle_store_queries(const std::vector<Query>& queries) {
 }
 
 std::string Server::handle_range(std::string_view payload) {
-  obs::Span span("svc.handle_range");
   RangeQuery rq = decode_range_request(payload);
   if (!store_) return encode_error("range queries require a snapshot store");
 

@@ -5,8 +5,8 @@
 
 #include "core/engine.hpp"
 #include "drop/category.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "rpki/archive.hpp"
 #include "rpki/tal.hpp"
 

@@ -18,8 +18,8 @@
 #include "drop/category.hpp"
 #include "net/interval_set.hpp"
 #include "net/segment_map.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "rir/rir.hpp"
 #include "util/crc32c.hpp"
 

@@ -1,16 +1,19 @@
 // The observability layer: registry interning and handle semantics, the
 // no-op mode, histogram bucket mapping, the Prometheus renderer (golden
-// output), span nesting, the concurrent-hammer race (this binary's TSan
-// gate), the svc metrics op, and the cornerstone determinism contract:
-// instrumentation never changes what the pipeline computes.
+// output), the concurrent-hammer race (this binary's TSan gate), the svc
+// metrics op, and the cornerstone determinism contract: instrumentation
+// never changes what the pipeline computes.
 //
-// The request-lifecycle layer rides in the same binary: SpanContext
-// cross-thread handoff (a second TSan gate), flight-recorder ring bounds
-// and eviction, exemplar rendering, the structured logger's goldens and
-// rate limiter, and the admin plane over real TCP — including the
-// acceptance pins: one epoll request = one accept→read→serve→flush root
-// trace on /tracez, a delayed query captured on /slowz with its stage
-// breakdown, and /healthz flipping to 503 when the store is emptied.
+// The flight recorder rides in the same binary: pipeline spans as one
+// "pipeline" trace each (outcome on exception, the inert mode, spans from
+// four threads racing page renders), SpanContext cross-thread handoff (a
+// second TSan gate), ring bounds and eviction, exemplar rendering, the
+// structured logger's goldens and rate limiter, and the admin plane over
+// real TCP — including the acceptance pins: one epoll request = one
+// accept→read→serve→flush root trace on /tracez, a compile-on-miss inside
+// a request landing as its own pipeline trace on /slowz, a delayed query
+// captured on /slowz with its stage breakdown, and /healthz flipping to 503
+// when the store is emptied.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -19,6 +22,7 @@
 #include <future>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,7 +34,6 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
-#include "obs/trace.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/generator.hpp"
 #include "svc/admin_http.hpp"
@@ -221,48 +224,104 @@ TEST(Prometheus, EscapesLabelValuesAndHelp) {
             std::string::npos);
 }
 
-TEST(Trace, SpansNestAndRootsSubmit) {
-  obs::Tracer tracer;
+// Every span is one trace of op class "pipeline" whose one stage carries
+// its name; a span opened inside another is a trace of its own.
+TEST(Trace, EverySpanIsOnePipelineTrace) {
+  obs::FlightRecorder::Options opt;
+  opt.sample_period = 1;
+  obs::FlightRecorder rec(opt);
   {
-    obs::ScopedTracer scoped(tracer);
-    obs::Span root("outer");
-    {
-      obs::Span child("inner");
-      obs::Span grandchild("leaf");
-    }
-    obs::Span sibling("inner2");
+    obs::ScopedFlightRecorder scoped(rec);
+    obs::Span outer("outer");
+    obs::Span inner("inner");
   }
-  std::vector<obs::Tracer::Record> traces = tracer.recent();
-  ASSERT_EQ(traces.size(), 1u);
-  const obs::Tracer::Record& root = traces[0];
-  EXPECT_EQ(root.name, "outer");
-  ASSERT_EQ(root.children.size(), 2u);
-  EXPECT_EQ(root.children[0].name, "inner");
-  ASSERT_EQ(root.children[0].children.size(), 1u);
-  EXPECT_EQ(root.children[0].children[0].name, "leaf");
-  EXPECT_EQ(root.children[1].name, "inner2");
-  EXPECT_GE(root.wall_ns, root.children[0].wall_ns);
-  std::ostringstream dump;
-  tracer.render(dump);
-  EXPECT_NE(dump.str().find("outer"), std::string::npos);
-  EXPECT_NE(dump.str().find("  inner"), std::string::npos);
+  EXPECT_EQ(rec.finished(), 2u);
+  std::vector<obs::RequestTrace> traces = rec.recent("pipeline");
+  ASSERT_EQ(traces.size(), 2u);
+  // Oldest first: the inner span closes before the outer one.
+  const char* names[] = {"inner", "outer"};
+  for (size_t i = 0; i < traces.size(); ++i) {
+    EXPECT_EQ(traces[i].op, "pipeline");
+    EXPECT_EQ(traces[i].outcome, "ok");
+    ASSERT_EQ(traces[i].stages.size(), 1u);
+    EXPECT_STREQ(traces[i].stages[0].name, names[i]);
+  }
+  EXPECT_GE(traces[1].total_ns, traces[0].total_ns);
+  EXPECT_NE(rec.render_tracez().find("== op pipeline"), std::string::npos);
 }
 
-TEST(Trace, RingIsBoundedAndCountsAllSubmissions) {
-  obs::Tracer tracer(4);
-  {
-    obs::ScopedTracer scoped(tracer);
-    for (int i = 0; i < 10; ++i) {
-      obs::Span span("root");
-    }
-  }
-  EXPECT_EQ(tracer.recent().size(), 4u);
-  EXPECT_EQ(tracer.submitted(), 10u);
+// A span left by an exception finishes "error" (a corrupt .dls load must
+// not read ok on /slowz); one opened and closed while another exception
+// unwinds still finishes "ok".
+TEST(Trace, SpanLeftByExceptionFinishesError) {
+  obs::FlightRecorder::Options opt;
+  opt.sample_period = 1;
+  obs::FlightRecorder rec(opt);
+  obs::ScopedFlightRecorder scoped(rec);
+  struct SpanInDestructor {
+    ~SpanInDestructor() { obs::Span span("cleanup"); }
+  };
+  EXPECT_THROW(
+      {
+        SpanInDestructor cleanup;
+        obs::Span span("svc.load_snapshot");
+        throw std::runtime_error("corrupt file");
+      },
+      std::runtime_error);
+  std::vector<obs::RequestTrace> traces = rec.recent("pipeline");
+  ASSERT_EQ(traces.size(), 2u);
+  EXPECT_STREQ(traces[0].stages[0].name, "svc.load_snapshot");
+  EXPECT_EQ(traces[0].outcome, "error");
+  EXPECT_STREQ(traces[1].stages[0].name, "cleanup");
+  EXPECT_EQ(traces[1].outcome, "ok");
 }
 
-TEST(Trace, NoTracerMeansNoOp) {
-  ASSERT_EQ(obs::installed_tracer(), nullptr);
-  obs::Span span("unobserved");  // must not crash or allocate a record
+TEST(Trace, NoRecorderMeansInertSpan) {
+  ASSERT_EQ(obs::installed_flight_recorder(), nullptr);
+  obs::FlightRecorder bystander;
+  { obs::Span span("unobserved"); }
+  EXPECT_EQ(bystander.finished(), 0u);
+  EXPECT_EQ(bystander.render_tracez(), "") << "no op class was interned";
+}
+
+// The fold's TSan gate: four threads record spans into one recorder while
+// a reader renders /tracez and /slowz. Every span interns the "pipeline"
+// op class; the threads start together, so their first spans race to
+// create it.
+TEST(Trace, ConcurrentSpansRaceReaders) {
+  obs::FlightRecorder::Options opt;
+  opt.sample_period = 1;
+  opt.recent_capacity = 16;
+  obs::FlightRecorder rec(opt);
+  obs::ScopedFlightRecorder scoped(rec);
+
+  constexpr int kThreads = 4;
+  constexpr int kSpansPerThread = 500;
+  std::atomic<bool> stop{false};
+  std::thread reader([&rec, &stop] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      (void)rec.render_tracez();
+      (void)rec.render_slowz();
+    }
+  });
+  std::atomic<bool> go{false};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&go] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (int i = 0; i < kSpansPerThread; ++i) {
+        obs::Span span("worker");
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& w : workers) w.join();
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+
+  EXPECT_EQ(rec.finished(),
+            static_cast<uint64_t>(kThreads) * kSpansPerThread);
+  EXPECT_EQ(rec.recent("pipeline").size(), 16u);
 }
 
 TEST(DataQuality, ExportsGauges) {
@@ -367,8 +426,8 @@ TEST(Service, ServerPrefersInstalledRegistry) {
 }
 
 // The cornerstone contract: observability never changes analysis output.
-// The same study renders byte-identically with no registry/tracer, and with
-// both installed — across thread counts.
+// The same study renders byte-identically with no registry/recorder, and
+// with both installed and every span sampled — across thread counts.
 TEST(Determinism, ReportUnchangedByInstrumentation) {
   sim::ScenarioConfig config = sim::ScenarioConfig::small();
   std::unique_ptr<sim::World> world = sim::generate(config);
@@ -381,26 +440,22 @@ TEST(Determinism, ReportUnchangedByInstrumentation) {
   std::ostringstream plain;
   core::write_report(plain, study, options);
 
-  std::ostringstream observed;
-  {
+  obs::FlightRecorder::Options every;
+  every.sample_period = 1;
+  auto observed = [&study, &every](uint32_t threads) {
     obs::Registry reg;
-    obs::Tracer tracer;
+    obs::FlightRecorder rec(every);
     obs::ScopedRegistry sr(reg);
-    obs::ScopedTracer st(tracer);
-    core::write_report(observed, study, options);
-    EXPECT_GT(tracer.submitted(), 0u);
-  }
-  EXPECT_EQ(plain.str(), observed.str());
-
-  std::ostringstream threaded;
-  {
-    obs::Registry reg;
-    obs::ScopedRegistry sr(reg);
-    core::ReportOptions parallel_options;
-    parallel_options.threads = 4;
-    core::write_report(threaded, study, parallel_options);
-  }
-  EXPECT_EQ(plain.str(), threaded.str());
+    obs::ScopedFlightRecorder srec(rec);
+    core::ReportOptions traced_options;
+    traced_options.threads = threads;
+    std::ostringstream out;
+    core::write_report(out, study, traced_options);
+    EXPECT_GT(rec.finished(), 0u);
+    return out.str();
+  };
+  EXPECT_EQ(plain.str(), observed(1));
+  EXPECT_EQ(plain.str(), observed(4));
 }
 
 // ---------------------------------------------------------------------------
@@ -946,6 +1001,64 @@ TEST(AdminPlane, EpollRequestProducesOneRootTrace) {
   EXPECT_TRUE(has("decode")) << rec.render_tracez();
   EXPECT_TRUE(has("answer")) << rec.render_tracez();
   EXPECT_NE(rec.render_tracez().find("op=binary"), std::string::npos);
+}
+
+// The acceptance pin, in droplensd's shape: a query for a date the store
+// has not compiled yet is one "binary" trace, and the compile-on-miss
+// inside its answer stage is a "pipeline" trace of its own on /slowz.
+TEST(AdminPlane, StoreMissInsideRequestIsAPipelineTrace) {
+  sim::ScenarioConfig config = sim::ScenarioConfig::small();
+  std::unique_ptr<sim::World> world = sim::generate(config);
+  core::Study study{world->registry, world->fleet, world->irr,  world->roas,
+                    world->drop,     world->sbl,   config.window_begin,
+                    config.window_end};
+  core::DropIndex index = core::DropIndex::build(study);
+  net::Date d = config.window_begin + 30;
+
+  obs::Registry reg;
+  obs::ScopedRegistry sr(reg);
+  obs::FlightRecorder::Options ropt;
+  ropt.sample_period = 1;
+  obs::FlightRecorder rec(ropt);
+  obs::ScopedFlightRecorder srec(rec);
+
+  svc::SnapshotStore store(svc::SnapshotStore::Config{}, &study, &index);
+  svc::Server server(store);
+  svc::TransportOptions o;
+  o.name = "binary";
+  svc::EpollServer epoll_srv(server, o);
+
+  svc::TcpClientConnection conn("127.0.0.1", epoll_srv.port(),
+                                svc::frame_size);
+  std::vector<svc::Query> batch{
+      svc::Query{d, net::Prefix::parse("10.0.0.0/8"), svc::kAllFields}};
+  std::string reply = conn.roundtrip(svc::encode_query_request(batch));
+  ASSERT_FALSE(reply.empty());
+  ASSERT_EQ(store.stats().compiles, 1u);
+
+  std::vector<obs::RequestTrace> requests;
+  for (int spin = 0; spin < 200; ++spin) {
+    requests = rec.recent("binary");
+    if (!requests.empty() && requests.back().outcome == "ok") break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(requests.size(), 1u) << rec.render_tracez();
+  // Pipeline span names are dotted (layer.stage); request stages are not.
+  for (const obs::RequestTrace::Stage& s : requests[0].stages) {
+    EXPECT_EQ(std::string_view(s.name).find('.'), std::string_view::npos)
+        << s.name;
+  }
+
+  std::vector<obs::RequestTrace> pipeline = rec.slowest("pipeline");
+  ASSERT_EQ(pipeline.size(), 1u) << rec.render_slowz();
+  ASSERT_EQ(pipeline[0].stages.size(), 1u);
+  EXPECT_STREQ(pipeline[0].stages[0].name, "svc.compile_snapshot");
+  EXPECT_EQ(pipeline[0].outcome, "ok");
+  EXPECT_LE(pipeline[0].total_ns, requests[0].total_ns)
+      << "the compile ran inside the request";
+  EXPECT_NE(obs::render_prometheus(reg).find(
+                "droplens_requests_total{op=\"pipeline\",outcome=\"ok\"} 1"),
+            std::string::npos);
 }
 
 namespace admintest {
