@@ -11,6 +11,10 @@
 //   $ ./bench_perf_service [--small] [--seed=N] [--threads=N] [--seconds=S]
 //                          [--batch=N] [--reload]
 //
+// --threads takes 1..1024, --batch 1..kMaxBatch (4096), --seconds any
+// number above 0 and --seed any uint64; any other value or flag prints the
+// usage line and exits 2 before the world is generated.
+//
 // `--scale` skips the load generator and runs the full-table regression
 // gate instead: a generate_scale() world (1M routed prefixes, or
 // DROPLENS_SCALE_PREFIXES), served through svc::Server in kMaxBatch frames,
@@ -38,7 +42,10 @@
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
 #include "svc/snapshot.hpp"
+#include "svc/snapshot_store.hpp"
 #include "svc/transport.hpp"
+#include "util/error.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace droplens;
@@ -135,7 +142,9 @@ int run_scale_gate() {
                                 8 + static_cast<int>(rng.below(25))),
         svc::kAllFields});
   }
-  svc::Server server(snap);
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
+  server.publish(snap);
   std::vector<std::string> requests;
   std::vector<std::string> expected;
   for (size_t begin = 0; begin < queries.size(); begin += svc::kMaxBatch) {
@@ -222,25 +231,47 @@ int run_scale_gate() {
   return 0;
 }
 
+int usage() {
+  std::cerr << "usage: bench_perf_service [--small] [--seed=N] "
+               "[--threads=1..1024] [--seconds=S] [--batch=1..4096] "
+               "[--reload] [--scale]\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
+  bool scale = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scale") == 0) return run_scale_gate();
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      opt.threads = static_cast<unsigned>(std::stoul(argv[i] + 10));
+    const char* arg = argv[i];
+    try {
+      if (std::strcmp(arg, "--scale") == 0) {
+        scale = true;
+      } else if (std::strcmp(arg, "--reload") == 0) {
+        opt.reload = true;
+      } else if (std::strcmp(arg, "--small") == 0) {
+        // read by bench::Harness::make
+      } else if (std::strncmp(arg, "--seed=", 7) == 0) {
+        (void)util::parse_number<uint64_t>(arg + 7);  // Harness::make too
+      } else if (std::strncmp(arg, "--threads=", 10) == 0) {
+        opt.threads = util::parse_number<uint32_t>(arg + 10, 1, 1024);
+      } else if (std::strncmp(arg, "--seconds=", 10) == 0) {
+        opt.seconds = util::parse_number<double>(
+            arg + 10, std::numeric_limits<double>::denorm_min());
+      } else if (std::strncmp(arg, "--batch=", 8) == 0) {
+        opt.batch = util::parse_number<uint32_t>(
+            arg + 8, 1, static_cast<uint32_t>(svc::kMaxBatch));
+      } else {
+        std::cerr << "unknown flag: " << arg << "\n";
+        return usage();
+      }
+    } catch (const ParseError& e) {
+      std::cerr << arg << ": " << e.what() << "\n";
+      return usage();
     }
-    if (std::strncmp(argv[i], "--seconds=", 10) == 0) {
-      opt.seconds = std::stod(argv[i] + 10);
-    }
-    if (std::strncmp(argv[i], "--batch=", 8) == 0) {
-      opt.batch = std::stoul(argv[i] + 8);
-    }
-    if (std::strcmp(argv[i], "--reload") == 0) opt.reload = true;
   }
-  if (opt.threads == 0) opt.threads = 1;
-  if (opt.batch == 0) opt.batch = 1;
+  if (scale) return run_scale_gate();
   bench::Harness h = bench::Harness::make(argc, argv);
 
   net::Date d = h.study->window_begin + 60;
@@ -255,7 +286,9 @@ int main(int argc, char** argv) {
   auto snap_twin = opt.reload ? svc::compile_snapshot(*h.study, h.index, d, 1)
                               : snap;
 
-  svc::Server server(snap);
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
+  server.publish(snap);
   Workload w = build_workload(server, h, d, opt.batch);
 
   std::atomic<bool> stop{false};

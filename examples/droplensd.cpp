@@ -36,7 +36,7 @@
 // connections per listener (excess accepts get a typed overload reply),
 // --idle-timeout-ms bounds quiet connections (slowloris drips included),
 // and --max-inflight turns on load shedding: bulk ops shed first, queries
-// next, stats/admin last, so observability survives overload. All three
+// next, metrics/admin last, so observability survives overload. All three
 // fronts (binary, whois, admin HTTP) share the same limits; every limit,
 // shed, and disconnect reason is a droplens_transport_* metric.
 //

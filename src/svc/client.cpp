@@ -93,11 +93,4 @@ std::string Client::subscribe_raw(std::string_view payload) {
   return std::string(response);
 }
 
-ServerStats Client::stats() {
-  std::string storage;
-  std::string_view payload =
-      expect(encode_stats_request(), FrameType::kStatsResponse, storage);
-  return decode_stats_response(payload);
-}
-
 }  // namespace droplens::svc

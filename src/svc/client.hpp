@@ -2,8 +2,10 @@
 //
 // Wraps any Connection (loopback or TCP) with encode/roundtrip/decode and
 // transparent batching: query() splits oversized batches into kMaxBatch
-// frames and stitches the responses back together. Server-side errors
-// (malformed frame, no snapshot) surface as std::runtime_error.
+// frames and stitches the responses back together. Server-side error
+// frames (a malformed frame, an overload shed) surface as
+// std::runtime_error; a date the server cannot serve is an answer with
+// status kUnavailable, not an error.
 #pragma once
 
 #include <string_view>
@@ -31,13 +33,10 @@ class Client {
 
   /// Status of one prefix across every day in [begin, end] (inclusive), in
   /// one server-side pass — run-length-encoded on transitions, so a stable
-  /// prefix costs one run however long the window. Requires a server in
-  /// store mode; others answer with an error frame (thrown here).
+  /// prefix costs one run however long the window. Days the server cannot
+  /// serve come back as runs whose status is kUnavailable.
   RangeResponse range(net::Date begin, net::Date end,
                       const net::Prefix& prefix, uint8_t fields = kAllFields);
-
-  /// Fetch the server's observability counters.
-  ServerStats stats();
 
   /// Round-trip one live-follow subscribe: sends `payload` (encoded by
   /// stream::encode_subscribe) as a kSubscribeRequest and returns the raw

@@ -27,7 +27,7 @@
 //   load shedding     in-flight work (messages being served + responses not
 //                     yet flushed) crossing max_inflight flips the server to
 //                     degraded service: bulk ops (range) shed first at M/2,
-//                     normal queries at M, control ops (stats/metrics) last
+//                     normal queries at M, control ops (metrics) last
 //                     at 2*M — so the observability plane stays up while the
 //                     server defends itself
 //

@@ -12,7 +12,6 @@ constexpr size_t kQueryRecordSize = 10;
 constexpr size_t kAnswerRecordSize = 8;
 constexpr size_t kRangeRunRecordSize = 9 + kAnswerRecordSize;
 constexpr size_t kMaxErrorMessage = 256;
-constexpr size_t kMaxLatencyBuckets = 64;
 
 // Little-endian append/read helpers. A Reader tracks its own cursor and
 // bounds-checks every take; decoders validate declared counts against
@@ -345,45 +344,6 @@ RangeResponse decode_range_response(std::string_view payload) {
   }
   in.expect_done("range response");
   return response;
-}
-
-std::string encode_stats_request() {
-  return frame(FrameType::kStatsRequest, {});
-}
-
-std::string encode_stats_response(const ServerStats& stats) {
-  std::string payload;
-  put_u64(payload, stats.requests);
-  put_u64(payload, stats.queries);
-  put_u64(payload, stats.malformed);
-  put_u64(payload, stats.reloads);
-  put_u64(payload, stats.snapshot_version);
-  for (uint64_t lookups : stats.field_lookups) put_u64(payload, lookups);
-  put_u16(payload, static_cast<uint16_t>(stats.latency_ns_buckets.size()));
-  for (uint64_t bucket : stats.latency_ns_buckets) put_u64(payload, bucket);
-  return frame(FrameType::kStatsResponse, payload);
-}
-
-ServerStats decode_stats_response(std::string_view payload) {
-  Reader in(payload);
-  ServerStats stats;
-  stats.requests = in.u64();
-  stats.queries = in.u64();
-  stats.malformed = in.u64();
-  stats.reloads = in.u64();
-  stats.snapshot_version = in.u64();
-  for (uint64_t& lookups : stats.field_lookups) lookups = in.u64();
-  size_t buckets = in.u16();
-  if (buckets > kMaxLatencyBuckets) {
-    throw ParseError("svc: too many latency buckets");
-  }
-  if (in.remaining() != buckets * 8) {
-    throw ParseError("svc: bucket count does not match payload size");
-  }
-  stats.latency_ns_buckets.resize(buckets);
-  for (uint64_t& bucket : stats.latency_ns_buckets) bucket = in.u64();
-  in.expect_done("stats response");
-  return stats;
 }
 
 std::string encode_metrics_request() {

@@ -9,11 +9,6 @@
 //                             count:u16 count * answer           (8 B each)
 //   answer  := status:u8 fields:u8 flags:u8 categories:u8 bucket:u8
 //              rov:u8 rir_status:u8 rir:u8
-//   stats request payload  := (empty)
-//   stats response payload := requests:u64 queries:u64 malformed:u64
-//                             reloads:u64 snapshot_version:u64
-//                             7 * field_lookups:u64
-//                             bucket_count:u16 bucket_count * u64
 //   metrics request payload  := (empty)
 //   metrics response payload := Prometheus text exposition bytes
 //   error payload          := message bytes (<= 256)
@@ -27,10 +22,10 @@
 //                                carries these two payloads opaquely)
 //
 // A query batch may mix dates: each query record carries its own date:u32
-// and a store-backed server resolves every distinct date in the frame. The
-// response header's date/version/degraded describe the first query's date;
-// per-answer status says kOk, kWrongDate (single-snapshot server, other
-// date) or kUnavailable (store could not materialize that date).
+// and the server resolves every distinct date in the frame. The response
+// header's date/version/degraded describe the first query's date;
+// per-answer status says kOk or kUnavailable (neither the server's live
+// head nor its store could serve that date).
 //
 // The range op asks one prefix's status across an inclusive date window
 // [date_begin, date_end] (at most kMaxRangeDays days) and answers with
@@ -40,11 +35,6 @@
 // and cover the window exactly; decoders reject anything else. Days the
 // store cannot serve appear as runs whose answer status is kUnavailable.
 //
-// The stats counters are monotonic but mutually unsynchronized: each is a
-// relaxed atomic read at one point in time, so `queries` may momentarily
-// run ahead of the latency-bucket total while frames are in flight. Totals
-// never decrease; exact cross-counter consistency is not promised.
-//
 // Responses carry the snapshot version so clients detect reloads mid-batch.
 // Decoding is strictly bounds-checked: declared counts are validated against
 // the bytes actually present before anything is allocated, and payload
@@ -52,7 +42,6 @@
 // an over-allocation or a crash (same discipline as bgp::read_mrtl).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -73,18 +62,19 @@ inline constexpr size_t kMaxBatch = 4096;
 /// batches (a paper-scale window is ~1000 days, well inside).
 inline constexpr size_t kMaxRangeDays = 4096;
 
+/// Frame types 3 and 4 (a retired stats op) stay unassigned: a client that
+/// sends either gets kError back ("unexpected frame type from client"),
+/// like any other type the server does not accept.
 enum class FrameType : uint8_t {
   kQueryRequest = 1,
   kQueryResponse = 2,
-  kStatsRequest = 3,
-  kStatsResponse = 4,
   kError = 5,
-  // Added after the stats op (PR 3); old clients never send them and old
-  // frames decode exactly as before, so the protocol stays byte-compatible.
+  // Appended numbering: old clients never send these and old frames decode
+  // exactly as before, so the protocol stays byte-compatible.
   kMetricsRequest = 6,
   kMetricsResponse = 7,
-  // Appended numbering (PR 6), same compatibility rule: the range op asks
-  // one prefix across a date window and gets RLE-compressed transitions.
+  // Appended numbering, same compatibility rule: the range op asks one
+  // prefix across a date window and gets RLE-compressed transitions.
   kRangeRequest = 8,
   kRangeResponse = 9,
   // Live-follow ops (same compatibility rule). The payloads are defined by
@@ -95,10 +85,10 @@ enum class FrameType : uint8_t {
   kDeltaResponse = 11,
 };
 
+/// Per-answer status. Wire value 1 is retired and stays unassigned.
 enum class QueryStatus : uint8_t {
   kOk = 0,
-  kWrongDate = 1,    // single-snapshot server serves a different date
-  kUnavailable = 2,  // store could not materialize the requested date
+  kUnavailable = 2,  // neither the live head nor the store serves the date
 };
 
 struct Query {
@@ -147,20 +137,6 @@ struct RangeResponse {
   friend bool operator==(const RangeResponse&, const RangeResponse&) = default;
 };
 
-/// Observability counters, as served by the `!stats`-style protocol op.
-struct ServerStats {
-  uint64_t requests = 0;   // frames handled (any type)
-  uint64_t queries = 0;    // individual prefix lookups
-  uint64_t malformed = 0;  // frames rejected by the decoder
-  uint64_t reloads = 0;    // snapshots published after the first
-  uint64_t snapshot_version = 0;
-  std::array<uint64_t, kFieldCount> field_lookups{};
-  /// Frame service times: bucket i counts frames in [2^i, 2^(i+1)) ns.
-  std::vector<uint64_t> latency_ns_buckets;
-
-  friend bool operator==(const ServerStats&, const ServerStats&) = default;
-};
-
 struct FrameHeader {
   uint8_t protocol = 0;
   FrameType type = FrameType::kError;
@@ -193,10 +169,6 @@ RangeQuery decode_range_request(std::string_view payload);
 std::string encode_range_response(const RangeResponse& response);
 /// Validates the runs' contiguity/coverage contract. Throws ParseError.
 RangeResponse decode_range_response(std::string_view payload);
-
-std::string encode_stats_request();
-std::string encode_stats_response(const ServerStats& stats);
-ServerStats decode_stats_response(std::string_view payload);
 
 /// The read-only metrics op: the response payload is the server registry's
 /// Prometheus text page (truncated at kMaxPayload, which a sane registry

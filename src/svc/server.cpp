@@ -14,7 +14,7 @@ namespace droplens::svc {
 
 namespace {
 
-// Wire order of the stats op's per-field counters (= Field bit positions).
+// Label values of droplens_svc_field_lookups_total (= Field bit positions).
 constexpr const char* kFieldNames[kFieldCount] = {
     "drop", "classification", "rov", "as0", "irr", "rir", "routed"};
 
@@ -24,39 +24,27 @@ constexpr const char* kFieldNames[kFieldCount] = {
 // per chunk lives on the worker's stack.
 constexpr size_t kServeChunk = 512;
 
-// Answer queries[c*kServeChunk ...) against `s`, batching every query whose
-// `accept` predicate passes and writing `miss` for the rest.
-template <typename Accept>
+// Answer queries[c*kServeChunk ...) against `s` with one batched lookup,
+// written straight into the chunk's slice of `answers`.
 void answer_chunk(const Snapshot& s, const std::vector<Query>& queries,
-                  std::vector<Answer>& answers, size_t c, const Accept& accept,
-                  const Answer& miss) {
+                  std::vector<Answer>& answers, size_t c) {
   const size_t begin = c * kServeChunk;
-  const size_t end = std::min(queries.size(), begin + kServeChunk);
+  const size_t m = std::min(queries.size() - begin, kServeChunk);
   net::Prefix prefixes[kServeChunk];
   uint8_t fields[kServeChunk];
-  uint32_t slot[kServeChunk];
-  Answer out[kServeChunk];
-  size_t m = 0;
-  for (size_t i = begin; i < end; ++i) {
-    const Query& q = queries[i];
-    if (!accept(q)) {
-      answers[i] = miss;
-      continue;
-    }
-    prefixes[m] = q.prefix;
-    fields[m] = q.fields;
-    slot[m] = static_cast<uint32_t>(i);
-    ++m;
+  for (size_t j = 0; j < m; ++j) {
+    prefixes[j] = queries[begin + j].prefix;
+    fields[j] = queries[begin + j].fields;
   }
   s.lookup_batch(std::span<const net::Prefix>(prefixes, m),
-                 std::span<const uint8_t>(fields, m), std::span<Answer>(out, m));
-  for (size_t j = 0; j < m; ++j) answers[slot[j]] = out[j];
+                 std::span<const uint8_t>(fields, m),
+                 std::span<Answer>(answers.data() + begin, m));
 }
 
 }  // namespace
 
-Server::Server(std::shared_ptr<const Snapshot> initial, util::ThreadPool* pool)
-    : snapshot_(std::move(initial)), pool_(pool) {
+Server::Server(SnapshotStore& store, util::ThreadPool* pool)
+    : store_(store), pool_(pool) {
   registry_ = obs::installed();
   if (!registry_) {
     own_registry_ = std::make_unique<obs::Registry>();
@@ -85,20 +73,15 @@ Server::Server(std::shared_ptr<const Snapshot> initial, util::ThreadPool* pool)
       "Frame service time in nanoseconds (log2 buckets)");
 }
 
-Server::Server(SnapshotStore& store, util::ThreadPool* pool)
-    : Server(nullptr, pool) {
-  store_ = &store;
-}
-
 void Server::publish(std::shared_ptr<const Snapshot> snap) {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  if (snapshot_) reloads_.inc();
-  snapshot_ = std::move(snap);
+  std::lock_guard<std::mutex> lock(head_mu_);
+  if (head_) reloads_.inc();
+  head_ = std::move(snap);
 }
 
-std::shared_ptr<const Snapshot> Server::snapshot() const {
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  return snapshot_;
+std::shared_ptr<const Snapshot> Server::head() const {
+  std::lock_guard<std::mutex> lock(head_mu_);
+  return head_;
 }
 
 ServerStats Server::stats() const {
@@ -107,18 +90,6 @@ ServerStats Server::stats() const {
   s.queries = queries_.value();
   s.malformed = malformed_.value();
   s.reloads = reloads_.value();
-  if (std::shared_ptr<const Snapshot> snap = snapshot()) {
-    s.snapshot_version = snap->version();
-  } else if (store_) {
-    s.snapshot_version = last_served_version_.load(std::memory_order_relaxed);
-  }
-  for (size_t i = 0; i < kFieldCount; ++i) {
-    s.field_lookups[i] = field_lookups_[i].value();
-  }
-  s.latency_ns_buckets.resize(kLatencyBuckets);
-  for (size_t i = 0; i < kLatencyBuckets; ++i) {
-    s.latency_ns_buckets[i] = latency_.bucket_value(i);
-  }
   return s;
 }
 
@@ -136,7 +107,6 @@ MessageClass Server::classify(std::string_view message) const {
   switch (static_cast<FrameType>(static_cast<uint8_t>(message[3]))) {
     case FrameType::kRangeRequest:
       return MessageClass::kBulk;  // most work per frame — shed first
-    case FrameType::kStatsRequest:
     case FrameType::kMetricsRequest:
       return MessageClass::kControl;  // observability — shed last
     default:
@@ -173,12 +143,6 @@ std::string Server::serve(std::string_view frame, obs::SpanContext& ctx) {
       case FrameType::kQueryRequest:
         response = handle_queries(frame_payload(frame));
         break;
-      case FrameType::kStatsRequest:
-        if (!frame_payload(frame).empty()) {
-          throw ParseError("svc: stats request carries a payload");
-        }
-        response = encode_stats_response(stats());
-        break;
       case FrameType::kMetricsRequest:
         if (!frame_payload(frame).empty()) {
           throw ParseError("svc: metrics request carries a payload");
@@ -210,58 +174,15 @@ std::string Server::serve(std::string_view frame, obs::SpanContext& ctx) {
 }
 
 std::string Server::handle_queries(std::string_view payload) {
-  std::vector<Query> queries = decode_query_request(payload);
-  if (store_) return handle_store_queries(queries);
-  // One snapshot copy per frame: every answer below is computed against it,
-  // however many publishes race with us.
-  std::shared_ptr<const Snapshot> snap = snapshot();
-  if (!snap) return encode_error("no snapshot loaded");
-
-  queries_.inc(queries.size());
-  QueryResponse response;
-  response.snapshot_version = snap->version();
-  response.date = snap->date();
-  response.degraded = snap->degraded();
-  response.answers.resize(queries.size());
-
-  const Snapshot& s = *snap;
-  Answer wrong_date;
-  wrong_date.status = static_cast<uint8_t>(QueryStatus::kWrongDate);
-  auto accept = [&](const Query& q) { return q.date == s.date(); };
-  auto serve_chunk = [&](size_t c) {
-    answer_chunk(s, queries, response.answers, c, accept, wrong_date);
-  };
-  const size_t chunks = (queries.size() + kServeChunk - 1) / kServeChunk;
-  if (pool_ && queries.size() >= kParallelThreshold) {
-    pool_->parallel_for(chunks, serve_chunk);
-  } else {
-    for (size_t c = 0; c < chunks; ++c) serve_chunk(c);
-  }
-
-  // Count per-field lookups once per answered query; sequential and cheap.
-  for (const Query& q : queries) {
-    if (q.date != s.date()) continue;
-    for (uint8_t f = 0; f < kFieldCount; ++f) {
-      if (q.fields & (uint8_t{1} << f)) {
-        field_lookups_[f].inc();
-      }
-    }
-  }
-  return encode_query_response(response);
-}
-
-std::string Server::handle_store_queries(const std::vector<Query>& queries) {
+  const std::vector<Query> queries = decode_query_request(payload);
   // Group by date and resolve each distinct date exactly once per frame.
   // Resolution is sequential on purpose: a get() may compile (~0.6 s at
   // paper scale), and the store's per-date latches already dedup identical
   // misses across concurrent frames — fanning the gets out here would just
   // pile threads onto the same latches.
   std::map<net::Date, std::shared_ptr<const Snapshot>> by_date;
-  for (const Query& q : queries) by_date.emplace(q.date, nullptr);
-  for (auto& [date, snap] : by_date) {
-    snap = store_get(date);
-    if (snap) note_served(*snap);
-  }
+  for (const Query& q : queries) by_date.try_emplace(q.date);
+  for (auto& [date, snap] : by_date) snap = store_get(date);
 
   queries_.inc(queries.size());
   QueryResponse response;
@@ -276,38 +197,35 @@ std::string Server::handle_store_queries(const std::vector<Query>& queries) {
     }
   }
 
-  Answer unavailable;
-  unavailable.status = static_cast<uint8_t>(QueryStatus::kUnavailable);
+  const bool fan_out = pool_ && queries.size() >= kParallelThreshold;
   if (by_date.size() == 1 && by_date.begin()->second) {
     // The bulk shape — one date per frame — takes the batched data plane.
     const Snapshot& s = *by_date.begin()->second;
-    auto accept = [](const Query&) { return true; };
     auto serve_chunk = [&](size_t c) {
-      answer_chunk(s, queries, response.answers, c, accept, unavailable);
+      answer_chunk(s, queries, response.answers, c);
     };
     const size_t chunks = (queries.size() + kServeChunk - 1) / kServeChunk;
-    if (pool_ && queries.size() >= kParallelThreshold) {
+    if (fan_out) {
       pool_->parallel_for(chunks, serve_chunk);
     } else {
       for (size_t c = 0; c < chunks; ++c) serve_chunk(c);
     }
   } else {
+    Answer unavailable;
+    unavailable.status = static_cast<uint8_t>(QueryStatus::kUnavailable);
     auto answer_one = [&](size_t i) {
       const Query& q = queries[i];
       const Snapshot* s = by_date.find(q.date)->second.get();
-      if (!s) {
-        response.answers[i] = unavailable;
-        return;
-      }
-      response.answers[i] = s->lookup(q.prefix, q.fields);
+      response.answers[i] = s ? s->lookup(q.prefix, q.fields) : unavailable;
     };
-    if (pool_ && queries.size() >= kParallelThreshold) {
+    if (fan_out) {
       pool_->parallel_for(queries.size(), answer_one);
     } else {
       for (size_t i = 0; i < queries.size(); ++i) answer_one(i);
     }
   }
 
+  // Count per-field lookups once per answered query; sequential and cheap.
   for (const Query& q : queries) {
     if (!by_date.find(q.date)->second) continue;
     for (uint8_t f = 0; f < kFieldCount; ++f) {
@@ -321,8 +239,6 @@ std::string Server::handle_store_queries(const std::vector<Query>& queries) {
 
 std::string Server::handle_range(std::string_view payload) {
   RangeQuery rq = decode_range_request(payload);
-  if (!store_) return encode_error("range queries require a snapshot store");
-
   RangeResponse response;
   response.prefix = rq.prefix;
   response.fields = rq.fields;
@@ -337,7 +253,6 @@ std::string Server::handle_range(std::string_view payload) {
     Answer a;
     uint8_t degraded = 0;
     if (std::shared_ptr<const Snapshot> snap = store_get(d)) {
-      note_served(*snap);
       a = snap->lookup(rq.prefix, rq.fields);
       degraded = snap->degraded();
       for (uint8_t f = 0; f < kFieldCount; ++f) {
@@ -361,27 +276,19 @@ std::string Server::handle_range(std::string_view payload) {
 std::shared_ptr<const Snapshot> Server::store_get(net::Date d) {
   // The live head (a streaming follower's latest compaction, see publish)
   // outranks the store for its own date; history still resolves below.
-  if (std::shared_ptr<const Snapshot> live = snapshot();
+  if (std::shared_ptr<const Snapshot> live = head();
       live && live->date() == d) {
     return live;
   }
   std::shared_ptr<const Snapshot> snap;
   try {
-    snap = store_->get(d);
+    snap = store_.get(d);
   } catch (const SnapshotFormatError&) {
     // A corrupt file with no compiler to heal it: this date answers
     // kUnavailable; the store's own counters record the load failure.
   }
   if (!snap) unavailable_.inc();
   return snap;
-}
-
-void Server::note_served(const Snapshot& snap) {
-  uint64_t v = snap.version();
-  uint64_t cur = last_served_version_.load(std::memory_order_relaxed);
-  while (cur < v && !last_served_version_.compare_exchange_weak(
-                        cur, v, std::memory_order_relaxed)) {
-  }
 }
 
 }  // namespace droplens::svc

@@ -1,36 +1,26 @@
 // Transport-agnostic server core of the query service.
 //
-// Two serving modes share one Server:
-//
-//  - Single-snapshot mode: the Server owns the published Snapshot behind a
-//    shared_ptr that handlers copy exactly once per frame, so every answer
-//    in a response is computed against one snapshot even while publish()
-//    swaps in a new one — zero-downtime reload with per-frame
-//    self-consistency. Queries for any other date answer kWrongDate.
-//
-//  - Store mode (whole-window time travel): the Server holds a
-//    SnapshotStore and every query's wire date resolves through
-//    SnapshotStore::get(). A frame may mix dates — the batch is grouped by
-//    date, each distinct date materialized once (sequentially: a get() may
-//    compile, and the store's per-date latches already dedup across
-//    frames), then the lookups fan out. Dates the store cannot serve
-//    answer kUnavailable. Store mode also serves the range op: one prefix
-//    across [d0, d1] in a single pass, run-length-encoded on transitions.
+// A Server fronts a SnapshotStore and answers for the whole study window:
+// every query's wire date resolves through the live head (see publish) and
+// then SnapshotStore::get(). A frame may mix dates — the batch is grouped
+// by date, each distinct date resolved once (sequentially: a get() may
+// compile, and the store's per-date latches already dedup across frames),
+// then the lookups fan out. Dates that neither the head nor the store can
+// serve answer kUnavailable. The range op answers one prefix across
+// [d0, d1] in a single pass over the same resolution, run-length-encoded on
+// transitions. A caller holding one compiled snapshot builds the Server
+// over an empty store and publishes the snapshot as the head.
 //
 // Large batches fan out across the engine's util::ThreadPool with
 // slot-indexed writes, keeping responses byte-identical for any thread
 // count.
 //
 // Observability rides the obs registry: counters (frames, queries,
-// malformed frames, per-field lookups, reloads) and a log2 latency
-// histogram are registry instruments — bound from the process-installed
-// obs::Registry when one exists (so droplensd's /metrics page includes
-// them) and from a private registry otherwise (so stats always work). The
-// stats protocol op serves the same numbers in the same wire format as
-// before the registry existed; the metrics op renders the whole backing
-// registry as Prometheus text. Stats are read at one point per request,
-// each counter once — monotonic, but not mutually synchronized (writers
-// are relaxed atomics that never pause for a reader).
+// malformed frames, per-field lookups, reloads, unavailable dates) and a
+// log2 latency histogram are registry instruments — bound from the
+// process-installed obs::Registry when one exists (so droplensd's /metrics
+// page includes them) and from a private registry otherwise. The metrics
+// op renders the whole backing registry as Prometheus text.
 #pragma once
 
 #include <array>
@@ -40,7 +30,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "svc/protocol.hpp"
@@ -54,6 +43,18 @@ class ThreadPool;
 namespace droplens::svc {
 
 class SnapshotStore;
+
+/// The counters droplensd reads in-process (its /statusz "serving" section
+/// and shutdown log). Each is read once, at Server::stats(): monotonic, but
+/// not mutually synchronized — writers are relaxed atomics that never pause
+/// for a reader. Per-field lookups and frame latencies are registry series
+/// only (droplens_svc_field_lookups_total, droplens_svc_request_latency_ns).
+struct ServerStats {
+  uint64_t requests = 0;   // frames handled (any type)
+  uint64_t queries = 0;    // individual prefix lookups
+  uint64_t malformed = 0;  // frames rejected by the decoder
+  uint64_t reloads = 0;    // head publishes after the first
+};
 
 /// Hook the streaming subsystem implements (stream::Publisher) to serve the
 /// live-follow ops. Declared here — and taken as an abstract pointer — so
@@ -69,25 +70,18 @@ class StreamFeed {
 
 class Server : public Service {
  public:
-  /// Single-snapshot mode. `initial` may be null (queries answer with an
-  /// error frame until the first publish). `pool`, when set, fans large
-  /// batches out across its workers; null serves every batch on the
-  /// transport thread.
-  explicit Server(std::shared_ptr<const Snapshot> initial = nullptr,
-                  util::ThreadPool* pool = nullptr);
-
-  /// Store mode: every query date resolves through `store` (which must
-  /// outlive the server) and the range op is live. publish()/snapshot()
-  /// are inert in this mode.
+  /// Every query date resolves through the head, then `store` (which must
+  /// outlive the server). `pool`, when set, fans large batches out across
+  /// its workers; null serves every batch on the transport thread.
   explicit Server(SnapshotStore& store, util::ThreadPool* pool = nullptr);
 
-  /// Atomically replace the served snapshot. In-flight frames finish
-  /// against the snapshot they started with; new frames see `snap`.
-  /// Replacing an existing snapshot counts as a reload. In store mode this
-  /// publishes the *live head*: a query whose date matches the published
-  /// snapshot's date is answered from it directly, ahead of the store —
-  /// how a streaming follower keeps "today" current between compactions
-  /// while history still resolves through the store.
+  /// Atomically replace the live head: a query whose date matches the
+  /// head's date is answered from it directly, ahead of the store — how a
+  /// streaming follower keeps "today" current between compactions while
+  /// history still resolves through the store. A frame copies the head
+  /// once per date it resolves, so in-flight frames finish against the head
+  /// they started with; new frames see `snap`. Replacing an existing head
+  /// counts as a reload.
   void publish(std::shared_ptr<const Snapshot> snap);
 
   /// Attach the live-follow handler (null detaches). Without one, subscribe
@@ -97,12 +91,7 @@ class Server : public Service {
     stream_feed_.store(feed, std::memory_order_release);
   }
 
-  /// The currently served snapshot (null before the first publish).
-  std::shared_ptr<const Snapshot> snapshot() const;
-
-  /// Current counters, as served by the stats protocol op. Each counter is
-  /// read exactly once, at this call; see the header comment for the
-  /// consistency contract.
+  /// Current counters; see ServerStats for the consistency contract.
   ServerStats stats() const;
 
   /// The registry backing this server's instruments: the process-installed
@@ -119,9 +108,9 @@ class Server : public Service {
   std::string serve(std::string_view frame, obs::SpanContext& ctx) override;
   std::string malformed_response(std::string_view head) override;
   /// Shed priority by frame type: range requests are the most work per
-  /// frame (kBulk, shed first), query batches are kNormal, and the
-  /// stats/metrics ops are kControl (shed last) so operators can watch an
-  /// overloaded server defend itself.
+  /// frame (kBulk, shed first), query batches are kNormal, and the metrics
+  /// op is kControl (shed last) so operators can watch an overloaded
+  /// server defend itself.
   MessageClass classify(std::string_view message) const override;
   /// Typed kError frame: "overloaded: connection limit" at the cap (empty
   /// message), "overloaded: request shed" for a shed frame.
@@ -136,20 +125,18 @@ class Server : public Service {
   static constexpr size_t kLatencyBuckets = 40;
 
   std::string handle_queries(std::string_view payload);
-  std::string handle_store_queries(const std::vector<Query>& queries);
   std::string handle_range(std::string_view payload);
-  /// store_->get with failures mapped to null (answers say kUnavailable).
+  /// The live head (null before the first publish).
+  std::shared_ptr<const Snapshot> head() const;
+  /// The head for its own date, else store_.get with failures mapped to
+  /// null (answers say kUnavailable).
   std::shared_ptr<const Snapshot> store_get(net::Date d);
-  void note_served(const Snapshot& snap);
 
-  mutable std::mutex snapshot_mu_;
-  std::shared_ptr<const Snapshot> snapshot_;
-  SnapshotStore* store_ = nullptr;
+  mutable std::mutex head_mu_;
+  std::shared_ptr<const Snapshot> head_;
+  SnapshotStore& store_;
   std::atomic<StreamFeed*> stream_feed_{nullptr};
   util::ThreadPool* pool_;
-  /// Highest snapshot version served in store mode — what the stats op's
-  /// snapshot_version field reports there.
-  std::atomic<uint64_t> last_served_version_{0};
 
   std::unique_ptr<obs::Registry> own_registry_;  // when none was installed
   obs::Registry* registry_;

@@ -69,7 +69,7 @@ inline constexpr uint8_t kNoValue = 0xff;
 /// One prefix's answer. Mirrors the wire record byte for byte (see
 /// svc/protocol.hpp); fields outside the requested mask are left zeroed.
 struct Answer {
-  uint8_t status = 0;       // protocol QueryStatus (kOk / kWrongDate)
+  uint8_t status = 0;       // protocol QueryStatus (kOk / kUnavailable)
   uint8_t fields = 0;       // mask of fields actually answered
   bool drop_listed = false;
   bool incident = false;

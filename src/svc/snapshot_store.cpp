@@ -8,6 +8,7 @@
 
 #include "core/drop_index.hpp"
 #include "core/study.hpp"
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "svc/snapshot_io.hpp"
 #include "util/error.hpp"
@@ -188,7 +189,15 @@ std::shared_ptr<const Snapshot> SnapshotStore::materialize(net::Date d,
     std::error_code ec;
     fs::create_directories(config_.dir, ec);
     std::string path = path_for(d);
-    save_snapshot(*snap, path);
+    try {
+      save_snapshot(*snap, path);
+    } catch (const SnapshotFormatError& e) {
+      // A full disk or read-only directory must not cost a good compile:
+      // serve it file-less (rescan drops it, as for a memory-only store).
+      DLOG_WARN("snapshot write-through failed",
+                {{"path", path}, {"error", e.what()}});
+      return snap;
+    }
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.saves;

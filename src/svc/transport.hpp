@@ -38,8 +38,8 @@ namespace droplens::svc {
 
 /// Priority class of one complete message, as reported by the Service.
 /// Under overload the transport sheds kBulk first, kNormal next, and
-/// kControl last — so the stats/metrics ops that let an operator watch the
-/// server defend itself are the last thing to go dark.
+/// kControl last — so the metrics op that lets an operator watch the
+/// server defend itself is the last thing to go dark.
 enum class MessageClass : uint8_t { kBulk = 0, kNormal = 1, kControl = 2 };
 inline constexpr size_t kMessageClassCount = 3;
 

@@ -1,8 +1,9 @@
 // The observability layer: registry interning and handle semantics, the
 // no-op mode, histogram bucket mapping, the Prometheus renderer (golden
 // output), the concurrent-hammer race (this binary's TSan gate), the svc
-// metrics op, and the cornerstone determinism contract: instrumentation
-// never changes what the pipeline computes.
+// metrics op, the pinned serving metric catalogue, and the cornerstone
+// determinism contract: instrumentation never changes what the pipeline
+// computes.
 //
 // The flight recorder rides in the same binary: pipeline spans as one
 // "pipeline" trace each (outcome on exception, the inert mode, spans from
@@ -21,6 +22,7 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -376,7 +378,8 @@ TEST(ThreadPool, InstrumentsSubmissionAndCompletion) {
 }
 
 TEST(Service, MetricsOpServesPrometheusPage) {
-  svc::Server server;  // no installed registry: server falls back to its own
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);  // no installed registry: a private one
   svc::LoopbackConnection conn(server);
   std::string reply = conn.roundtrip(svc::encode_metrics_request());
   svc::FrameHeader header = svc::decode_header(reply);
@@ -390,39 +393,81 @@ TEST(Service, MetricsOpServesPrometheusPage) {
   EXPECT_NE(page.find("droplens_svc_requests_total 1"), std::string::npos);
 }
 
-TEST(Service, StatsOpStaysWireCompatibleWithRegistryBackend) {
-  svc::Server server;
+// Frame types 3/4 (a binary stats op) are retired: the metrics op serves
+// the same counters. A client still sending 3 gets a typed error back.
+TEST(Service, RetiredStatsOpIsAnUnexpectedFrame) {
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
   svc::LoopbackConnection conn(server);
-  // A malformed frame and a metrics request, then read the counters back
-  // through the unchanged stats wire format.
-  (void)conn.roundtrip(svc::encode_metrics_request());
-  std::string reply = conn.roundtrip(svc::encode_stats_request());
-  ASSERT_EQ(svc::decode_header(reply).type, svc::FrameType::kStatsResponse);
-  svc::ServerStats stats =
-      svc::decode_stats_response(svc::frame_payload(reply));
-  EXPECT_EQ(stats.requests, 2u);  // metrics + this stats frame
-  EXPECT_EQ(stats.malformed, 0u);
-  ASSERT_EQ(stats.latency_ns_buckets.size(), 40u);
-  uint64_t frames_timed = 0;
-  for (uint64_t b : stats.latency_ns_buckets) frames_timed += b;
-  EXPECT_EQ(frames_timed, 1u);  // the metrics frame (this one is in flight)
-  // The contract is monotonic, not mutually synchronized: a fresh read sees
-  // at least what the wire reported (the stats frame itself has since been
-  // timed, so the latency total may be ahead).
-  svc::ServerStats now = server.stats();
-  EXPECT_GE(now.requests, stats.requests);
-  EXPECT_EQ(now.queries, stats.queries);
-  EXPECT_EQ(now.malformed, stats.malformed);
+  const std::string stats_request("DL\x01\x03\0\0\0\0", svc::kHeaderSize);
+  std::string reply = conn.roundtrip(stats_request);
+  ASSERT_EQ(svc::decode_header(reply).type, svc::FrameType::kError);
+  EXPECT_NE(svc::decode_error(svc::frame_payload(reply))
+                .find("unexpected frame type from client"),
+            std::string::npos);
+  EXPECT_EQ(server.stats().malformed, 1u);
 }
 
 TEST(Service, ServerPrefersInstalledRegistry) {
   obs::Registry reg;
   obs::ScopedRegistry scoped(reg);
-  svc::Server server;
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
   EXPECT_EQ(&server.metrics_registry(), &reg);
   svc::LoopbackConnection conn(server);
-  (void)conn.roundtrip(svc::encode_stats_request());
+  (void)conn.roundtrip(svc::encode_metrics_request());
   EXPECT_EQ(reg.counter("droplens_svc_requests_total").value(), 1u);
+}
+
+// The serving stack's series names, types and label keys, pinned so that a
+// rename is a deliberate edit of this list rather than a silent break of
+// every dashboard and alert scraping them.
+TEST(Metrics, ServingCatalogueIsPinned) {
+  obs::Registry reg;
+  obs::ScopedRegistry scoped(reg);
+  svc::SnapshotStore store(svc::SnapshotStore::Config{});
+  svc::Server server(store);
+  svc::TransportOptions o;
+  o.name = "query";
+  svc::EpollServer front(server, o);
+
+  constexpr const char* kTypeNames[] = {"counter", "gauge", "histogram"};
+  std::vector<std::string> catalogue;
+  for (const obs::Registry::FamilySnapshot& f : reg.snapshot()) {
+    std::set<std::string> key_sets;  // one per family: every series agrees
+    for (const obs::Registry::SeriesSnapshot& series : f.series) {
+      std::string keys;
+      for (const auto& [key, value] : series.labels) {
+        keys += (keys.empty() ? "" : ",") + key;
+      }
+      key_sets.insert(keys);
+    }
+    ASSERT_EQ(key_sets.size(), 1u) << f.name;
+    catalogue.push_back(f.name + " " +
+                        kTypeNames[static_cast<size_t>(f.type)] + " {" +
+                        *key_sets.begin() + "}");
+  }
+  const std::vector<std::string> pinned = {
+      "droplens_store_resident_days gauge {}",
+      "droplens_svc_field_lookups_total counter {field}",
+      "droplens_svc_malformed_total counter {}",
+      "droplens_svc_queries_total counter {}",
+      "droplens_svc_reloads_total counter {}",
+      "droplens_svc_request_latency_ns histogram {}",
+      "droplens_svc_requests_total counter {}",
+      "droplens_svc_unavailable_dates_total counter {}",
+      "droplens_transport_accept_errors_total counter {transport,listener}",
+      "droplens_transport_accepted_total counter {transport,listener}",
+      "droplens_transport_buffered_bytes gauge {transport,listener}",
+      "droplens_transport_disconnects_total counter "
+      "{transport,listener,reason}",
+      "droplens_transport_inflight gauge {transport,listener}",
+      "droplens_transport_open_connections gauge {transport,listener}",
+      "droplens_transport_overload_rejects_total counter "
+      "{transport,listener}",
+      "droplens_transport_shed_total counter {transport,listener,class}",
+  };
+  EXPECT_EQ(catalogue, pinned);
 }
 
 // The cornerstone contract: observability never changes analysis output.
@@ -963,7 +1008,9 @@ TEST(AdminPlane, EpollRequestProducesOneRootTrace) {
   obs::FlightRecorder rec(ropt);
   obs::ScopedFlightRecorder srec(rec);
 
-  svc::Server server(svc::compile_snapshot(study, index, d, 1));
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
+  server.publish(svc::compile_snapshot(study, index, d, 1));
   svc::TransportOptions o;
   o.name = "binary";
   svc::EpollServer epoll_srv(server, o);  // binding resolves the recorder

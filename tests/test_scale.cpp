@@ -33,6 +33,7 @@
 #include "svc/server.hpp"
 #include "svc/snapshot.hpp"
 #include "svc/snapshot_io.hpp"
+#include "svc/snapshot_store.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -207,9 +208,12 @@ TEST(ScaleTier, ServerFramesAreByteIdenticalAcrossThreadCounts) {
     }
     requests.push_back(svc::encode_query_request(frame));
   }
-  svc::Server sequential(fx.loaded);
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server sequential(history);
+  sequential.publish(fx.loaded);
   util::ThreadPool pool(4);
-  svc::Server pooled(fx.loaded, &pool);
+  svc::Server pooled(history, &pool);
+  pooled.publish(fx.loaded);
   for (const std::string& req : requests) {
     const std::string a = sequential.serve(req);
     const std::string b = pooled.serve(req);

@@ -11,12 +11,14 @@
 #include "core/snapshot_cache.hpp"
 #include "irr/whois.hpp"
 #include "net/segment_map.hpp"
+#include "obs/metrics.hpp"
 #include "sim/generator.hpp"
 #include "svc/client.hpp"
 #include "svc/epoll_transport.hpp"
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
 #include "svc/snapshot.hpp"
+#include "svc/snapshot_store.hpp"
 #include "svc/transport.hpp"
 #include "svc/whois_service.hpp"
 #include "util/error.hpp"
@@ -195,8 +197,11 @@ TEST_F(ServiceWorldTest, SnapshotIsByteIdenticalAcrossThreadCounts) {
   for (const net::Prefix& p : probe_prefixes(index)) {
     batch.push_back(svc::Query{config_->window_begin + 60, p, svc::kAllFields});
   }
-  svc::Server server_seq(seq);
-  svc::Server server_par(par, &pool);
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server_seq(history);
+  server_seq.publish(seq);
+  svc::Server server_par(history, &pool);
+  server_par.publish(par);
   std::string request = svc::encode_query_request(batch);
   EXPECT_EQ(server_seq.serve(request), server_par.serve(request));
 }
@@ -207,12 +212,14 @@ TEST_F(ServiceWorldTest, ClientServerLoopbackRoundtrip) {
   net::Date d = config_->window_begin + 60;
   auto snap = svc::compile_snapshot(s, index, d, 3);
 
-  svc::Server server;
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
   svc::LoopbackConnection conn(server);
   svc::Client client(conn);
 
-  // Before the first publish every query is a server error.
-  EXPECT_THROW(client.lookup(d, P("10.0.0.0/8")), std::runtime_error);
+  // Before the first publish no date is servable.
+  EXPECT_EQ(client.lookup(d, P("10.0.0.0/8")).status,
+            static_cast<uint8_t>(svc::QueryStatus::kUnavailable));
 
   server.publish(snap);
   std::vector<svc::Query> batch;
@@ -229,7 +236,8 @@ TEST_F(ServiceWorldTest, ClientServerLoopbackRoundtrip) {
 
   // A query for another date is answered, flagged, and field-less.
   svc::Answer wrong = client.lookup(d + 1, P("10.0.0.0/8"));
-  EXPECT_EQ(wrong.status, static_cast<uint8_t>(svc::QueryStatus::kWrongDate));
+  EXPECT_EQ(wrong.status,
+            static_cast<uint8_t>(svc::QueryStatus::kUnavailable));
   EXPECT_EQ(wrong.fields, 0);
 }
 
@@ -237,7 +245,9 @@ TEST_F(ServiceWorldTest, ClientSplitsOversizedBatches) {
   core::Study s = study();
   core::DropIndex index = core::DropIndex::build(s);
   net::Date d = config_->window_begin + 60;
-  svc::Server server(svc::compile_snapshot(s, index, d, 1));
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
+  server.publish(svc::compile_snapshot(s, index, d, 1));
   svc::LoopbackConnection conn(server);
   svc::Client client(conn);
 
@@ -257,13 +267,18 @@ TEST_F(ServiceWorldTest, StatsCountersTrackTraffic) {
   net::Date d = config_->window_begin + 60;
   auto snap = svc::compile_snapshot(s, index, d, 1);
 
-  svc::Server server;
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
   svc::LoopbackConnection conn(server);
   svc::Client client(conn);
   server.publish(snap);
   server.publish(snap);  // second publish = one reload
 
-  client.lookup(d, P("10.0.0.0/8"), svc::field_bit(svc::Field::kRouted));
+  EXPECT_EQ(client
+                .query({svc::Query{d, P("10.0.0.0/8"),
+                                   svc::field_bit(svc::Field::kRouted)}})
+                .snapshot_version,
+            1u);
   client.lookup(d, P("10.0.0.0/8"),
                 svc::field_bit(svc::Field::kRouted) |
                     svc::field_bit(svc::Field::kDrop));
@@ -275,18 +290,27 @@ TEST_F(ServiceWorldTest, StatsCountersTrackTraffic) {
   std::string error_response = server.serve(garbage);
   EXPECT_EQ(svc::decode_header(error_response).type, svc::FrameType::kError);
 
-  svc::ServerStats stats = client.stats();
-  EXPECT_EQ(stats.requests, 4u);  // 2 lookups + garbage + the stats frame
+  svc::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests, 3u);  // 2 lookups + garbage
   EXPECT_EQ(stats.queries, 2u);
   EXPECT_EQ(stats.malformed, 1u);
   EXPECT_EQ(stats.reloads, 1u);
-  EXPECT_EQ(stats.snapshot_version, 1u);
-  EXPECT_EQ(stats.field_lookups[static_cast<size_t>(svc::Field::kRouted)], 2u);
-  EXPECT_EQ(stats.field_lookups[static_cast<size_t>(svc::Field::kDrop)], 1u);
-  EXPECT_EQ(stats.field_lookups[static_cast<size_t>(svc::Field::kRov)], 0u);
+  // Per-field lookups and latencies are registry series.
+  obs::Registry& reg = server.metrics_registry();
+  auto lookups = [&reg](const char* field) {
+    return reg.counter("droplens_svc_field_lookups_total", {{"field", field}})
+        .value();
+  };
+  EXPECT_EQ(lookups("routed"), 2u);
+  EXPECT_EQ(lookups("drop"), 1u);
+  EXPECT_EQ(lookups("rov"), 0u);
+  obs::Histogram latency = reg.histogram("droplens_svc_request_latency_ns",
+                                         obs::Registry::log2_bounds(39));
   uint64_t histogram_total = 0;
-  for (uint64_t bucket : stats.latency_ns_buckets) histogram_total += bucket;
-  EXPECT_EQ(histogram_total, 3u);  // every served frame before this one
+  for (size_t i = 0; i < latency.bucket_count(); ++i) {
+    histogram_total += latency.bucket_value(i);
+  }
+  EXPECT_EQ(histogram_total, 3u);  // every served frame
 }
 
 TEST_F(ServiceWorldTest, TcpRoundtripMatchesLoopback) {
@@ -295,7 +319,9 @@ TEST_F(ServiceWorldTest, TcpRoundtripMatchesLoopback) {
   net::Date d = config_->window_begin + 60;
   auto snap = svc::compile_snapshot(s, index, d, 9);
 
-  svc::Server server(snap);
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
+  server.publish(snap);
   svc::EpollServer tcp(server, svc::TransportOptions{});
   ASSERT_GT(tcp.port(), 0);
 
@@ -309,7 +335,7 @@ TEST_F(ServiceWorldTest, TcpRoundtripMatchesLoopback) {
     batch.push_back(svc::Query{d, p, svc::kAllFields});
   }
   EXPECT_EQ(client.query(batch), reference.query(batch));
-  EXPECT_GE(client.stats().requests, 2u);
+  EXPECT_GE(server.stats().requests, 2u);
   tcp.stop();
   EXPECT_EQ(tcp.stats().accepted, 1u);
 }

@@ -14,6 +14,7 @@
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
 #include "svc/snapshot.hpp"
+#include "svc/snapshot_store.hpp"
 #include "util/error.hpp"
 
 namespace droplens {
@@ -82,7 +83,9 @@ TEST(ServiceFuzz, FrameSizeOnRandomBytesNeverMisbehaves) {
 }
 
 TEST(ServiceFuzz, ServeSurvivesRandomBytes) {
-  svc::Server server(empty_snapshot());
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
+  server.publish(empty_snapshot());
   sim::Rng rng(102);
   for (int round = 0; round < 2000; ++round) {
     size_t len = rng.below(200);
@@ -94,7 +97,9 @@ TEST(ServiceFuzz, ServeSurvivesRandomBytes) {
 }
 
 TEST(ServiceFuzz, TruncatedFramesAreMalformedNotFatal) {
-  svc::Server server(empty_snapshot());
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
+  server.publish(empty_snapshot());
   sim::Rng rng(103);
   for (int round = 0; round < 400; ++round) {
     std::string frame = svc::encode_query_request(random_batch(rng, 40));
@@ -107,7 +112,9 @@ TEST(ServiceFuzz, TruncatedFramesAreMalformedNotFatal) {
 }
 
 TEST(ServiceFuzz, BitFlippedFramesNeverEscapeAsExceptions) {
-  svc::Server server(empty_snapshot());
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
+  server.publish(empty_snapshot());
   sim::Rng rng(104);
   for (int round = 0; round < 1500; ++round) {
     std::string frame = svc::encode_query_request(random_batch(rng, 30));
@@ -122,7 +129,9 @@ TEST(ServiceFuzz, BitFlippedFramesNeverEscapeAsExceptions) {
 }
 
 TEST(ServiceFuzz, DeclaredCountMismatchesAreRejectedBeforeAllocation) {
-  svc::Server server(empty_snapshot());
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
+  server.publish(empty_snapshot());
   sim::Rng rng(105);
   for (int round = 0; round < 500; ++round) {
     std::string frame = svc::encode_query_request(random_batch(rng, 20));
@@ -155,7 +164,9 @@ TEST(ServiceFuzz, OversizedDeclarationsAreCutNotBuffered) {
     frame += static_cast<char>((declared >> 16) & 0xff);
     frame += static_cast<char>((declared >> 24) & 0xff);
     EXPECT_THROW(svc::frame_size(frame), ParseError) << declared;
-    svc::Server server(empty_snapshot());
+    svc::SnapshotStore history(svc::SnapshotStore::Config{});
+    svc::Server server(history);
+    server.publish(empty_snapshot());
     assert_served(server, frame);
     EXPECT_EQ(server.stats().malformed, 1u);
   }
@@ -167,7 +178,7 @@ TEST(ServiceFuzz, ClientDecodersHoldTheSameContract) {
     size_t len = rng.below(120);
     std::string bytes(len, '\0');
     for (char& c : bytes) c = static_cast<char>(rng.below(256));
-    for (int which = 0; which < 3; ++which) {
+    for (int which = 0; which < 4; ++which) {
       try {
         switch (which) {
           case 0:
@@ -176,8 +187,11 @@ TEST(ServiceFuzz, ClientDecodersHoldTheSameContract) {
           case 1:
             (void)svc::decode_query_response(bytes);
             break;
+          case 2:
+            (void)svc::decode_range_request(bytes);
+            break;
           default:
-            (void)svc::decode_stats_response(bytes);
+            (void)svc::decode_range_response(bytes);
         }
       } catch (const ParseError&) {
         // expected for malformed input
@@ -190,7 +204,9 @@ TEST(ServiceFuzz, ClientDecodersHoldTheSameContract) {
 
 TEST(ServiceFuzz, RoundTripsSurviveMutationOfEveryByte) {
   // Exhaustive single-byte corruption of one representative frame.
-  svc::Server server(empty_snapshot());
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
+  server.publish(empty_snapshot());
   std::vector<svc::Query> batch = {
       svc::Query{kDate, net::Prefix::parse("10.0.0.0/8"), svc::kAllFields},
       svc::Query{kDate, net::Prefix::parse("192.0.2.0/24"), 0x05},

@@ -52,8 +52,8 @@ sim::World* ServiceReloadTest::world_ = nullptr;
 TEST_F(ServiceReloadTest, ResponsesAreSelfConsistentWhileSnapshotsSwap) {
   core::Study s = study();
   core::DropIndex index = core::DropIndex::build(s);
-  // Two snapshots for different dates: their answers differ (the second
-  // date even answers kWrongDate for the first date's queries), so a
+  // Two snapshots for different dates: their answers differ (with the
+  // second as the head, the first date's queries answer kUnavailable), so a
   // response mixing the two would be caught byte-for-byte.
   net::Date d1 = config_->window_begin + 30;
   net::Date d2 = config_->window_begin + 90;
@@ -68,7 +68,9 @@ TEST_F(ServiceReloadTest, ResponsesAreSelfConsistentWhileSnapshotsSwap) {
   ASSERT_FALSE(batch.empty());
   const std::string request = svc::encode_query_request(batch);
 
-  svc::Server server(snap1);
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
+  server.publish(snap1);
   // The two legal responses, recorded before the storm.
   const std::string expect1 = server.serve(request);
   server.publish(snap2);
@@ -115,7 +117,9 @@ TEST_F(ServiceReloadTest, ReloadOverTcpKeepsClientsConnected) {
   auto snap1 = svc::compile_snapshot(s, index, d, 1);
   auto snap2 = svc::compile_snapshot(s, index, d, 2);  // same date, new version
 
-  svc::Server server(snap1);
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
+  server.publish(snap1);
   svc::EpollServer tcp(server, svc::TransportOptions{});
   svc::TcpClientConnection conn("127.0.0.1", tcp.port(), svc::frame_size);
   svc::Client client(conn);
@@ -141,7 +145,9 @@ TEST_F(ServiceReloadTest, IdenticalSnapshotsServeByteIdenticalAnswersDuringReloa
   auto snap_a = svc::compile_snapshot(s, index, d, 7);
   auto snap_b = svc::compile_snapshot(s, index, d, 7);
 
-  svc::Server server(snap_a);
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
+  server.publish(snap_a);
   std::vector<svc::Query> batch;
   for (const core::DropEntry& e : index.entries()) {
     batch.push_back(svc::Query{d, e.prefix, svc::kAllFields});

@@ -932,6 +932,19 @@ TEST_F(SnapshotStoreTest, MemoryOnlyStoreCompilesWithoutTouchingDisk) {
   EXPECT_TRUE(store.on_disk().empty());
 }
 
+// A write-through save that cannot land (a full disk, a read-only or bogus
+// directory) must not throw the compile away: the day serves from memory.
+TEST_F(SnapshotStoreTest, FailedWriteThroughStillServesTheCompile) {
+  svc::SnapshotStore::Config cfg;
+  cfg.dir = "/dev/null/dls";  // never a creatable directory
+  svc::SnapshotStore store(cfg, &*store_study_, index_.get());
+  auto snap = store.get(date(30));
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(store.get(date(30)).get(), snap.get());
+  EXPECT_EQ(store.stats().compiles, 1u);
+  EXPECT_EQ(store.stats().saves, 0u);
+}
+
 TEST_F(SnapshotStoreTest, CorruptFileFallsBackToCompileAndHealsTheFile) {
   TempDir tmp;
   svc::SnapshotStore::Config cfg;

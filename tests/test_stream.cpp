@@ -27,6 +27,7 @@
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
 #include "svc/snapshot.hpp"
+#include "svc/snapshot_store.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -450,7 +451,8 @@ TEST_F(StreamWorldTest, PublisherDeliversDeltasToSubscriber) {
   stream::Publisher publisher(monitor_config());
   publisher.seed_rir(world_->registry);
 
-  svc::Server server;
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
   server.set_stream_feed(&publisher);
   svc::LoopbackConnection conn(server);
   svc::Client client(conn);
@@ -495,7 +497,8 @@ TEST_F(StreamWorldTest, TrimForcesSubscriberReset) {
   for (const stream::Event& e : events) publisher.ingest(e);
   publisher.trim(100);  // discard all but the last 100 events
 
-  svc::Server server;
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
   server.set_stream_feed(&publisher);
   svc::LoopbackConnection conn(server);
   svc::Client client(conn);
@@ -546,7 +549,8 @@ class SkewedFeed : public svc::StreamFeed {
 
 TEST_F(StreamWorldTest, SubscriberRejectsNonConsecutiveDeltas) {
   SkewedFeed feed;
-  svc::Server server;
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
   server.set_stream_feed(&feed);
   svc::LoopbackConnection conn(server);
   svc::Client client(conn);

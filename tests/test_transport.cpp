@@ -31,6 +31,7 @@
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
 #include "svc/snapshot.hpp"
+#include "svc/snapshot_store.hpp"
 #include "svc/transport.hpp"
 #include "svc/whois_service.hpp"
 #include "util/error.hpp"
@@ -612,7 +613,9 @@ TEST_F(TransportWorld, BinaryAnswersAreByteIdenticalAcrossTransports) {
   core::Study s = study();
   core::DropIndex index = core::DropIndex::build(s);
   net::Date d = config_->window_begin + 60;
-  svc::Server server(svc::compile_snapshot(s, index, d, 7));
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
+  server.publish(svc::compile_snapshot(s, index, d, 7));
 
   svc::EpollServer epoll_srv(server, svc::TransportOptions{});
 

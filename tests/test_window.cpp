@@ -9,9 +9,10 @@
 //        cmake --build build-tsan -j && ctest --test-dir build-tsan -L window
 //        cmake -B build-asan -S . -DDROPLENS_SANITIZE=address
 //        cmake --build build-asan -j && ctest --test-dir build-asan -L window
-//   2. Fidelity — a store-mode Server answers 30+ distinct dates (degraded
-//      days included) identically to per-date compiles, and the range op
-//      matches naive per-day lookups run for run.
+//   2. Fidelity — a Server over a store answers 30+ distinct dates
+//      (degraded days included) identically to per-date compiles, the range
+//      op matches naive per-day lookups run for run, and a live head alone
+//      serves its own day of a range.
 //   3. Rescan — incremental: resident days with unchanged files survive a
 //      rescan; changed, deleted, and file-less days are dropped.
 //   4. HTTP — the metrics front consumes full requests (head + declared
@@ -282,16 +283,26 @@ TEST_F(WindowTest, RangeSpanningTheWindowEdgeYieldsUnavailableRuns) {
             static_cast<uint8_t>(svc::QueryStatus::kOk));
 }
 
-TEST_F(WindowTest, SingleSnapshotServerRefusesRangeQueries) {
+TEST_F(WindowTest, LiveHeadAloneServesRangeOverItsOwnDay) {
   core::Study s = study();
   core::DropIndex index = core::DropIndex::build(s);
   auto snap = svc::compile_snapshot(s, index, date(30), 1);
-  svc::Server server(snap);
+  svc::SnapshotStore history(svc::SnapshotStore::Config{});
+  svc::Server server(history);
+  server.publish(snap);
   svc::LoopbackConnection loop(server);
   svc::Client client(loop);
-  EXPECT_THROW(
-      client.range(date(30), date(31), index.entries().front().prefix),
-      std::runtime_error);
+
+  // The head answers its own day; the empty store serves neither side.
+  const net::Prefix probe = index.entries().front().prefix;
+  svc::RangeResponse rr = client.range(date(29), date(31), probe);
+  ASSERT_EQ(rr.runs.size(), 3u);
+  svc::Answer unavailable;
+  unavailable.status = static_cast<uint8_t>(svc::QueryStatus::kUnavailable);
+  EXPECT_EQ(rr.runs[0], (svc::RangeRun{date(29), 1, 0, unavailable}));
+  EXPECT_EQ(rr.runs[1], (svc::RangeRun{date(30), 1, snap->degraded(),
+                                       snap->lookup(probe, svc::kAllFields)}));
+  EXPECT_EQ(rr.runs[2], (svc::RangeRun{date(31), 1, 0, unavailable}));
 }
 
 TEST(WindowProtocol, RangeCodecsValidateHostileInput) {
