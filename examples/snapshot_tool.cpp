@@ -8,6 +8,10 @@
 //       Every date must fall inside the study window; a date outside it, or
 //       a flag value that is not an integer in range, exits 2 with the
 //       usage line before the world is generated.
+//       compile, delta and expand accept only the flags listed for them:
+//       any other argument (a misspelt flag, or a value after a space
+//       instead of `=`) exits 2 with the usage line before any file is read
+//       or any world is generated.
 //
 //   $ ./snapshot_tool delta --dir=DIR [--keyframe-every=K]
 //       Re-encode the directory in place as delta chains: every Kth file
@@ -27,8 +31,8 @@
 //   $ ./snapshot_tool verify FILE...
 //       Full hostile-input validation: load each file (header + every
 //       segment CRC + structural invariants); deltas are reconstructed over
-//       their base chain, resolved through sibling YYYYMMDD.dls files.
-//       Exit 1 if any file fails.
+//       their base chain, resolved through sibling YYYYMMDD.dls files, so a
+//       delta must sit at its own canonical name. Exit 1 if any file fails.
 //
 //   $ ./snapshot_tool diff A.dls B.dls [--quiet]
 //       Lower the two compiled days into the ordered stream::Event sequence
@@ -74,6 +78,11 @@ int usage() {
   return 2;
 }
 
+int unknown_argument(const char* arg) {
+  DLOG_ERROR("unknown argument", {{"argument", arg}});
+  return usage();
+}
+
 /// Parse the value of `--flag=VALUE` (`arg` points at VALUE) as a whole
 /// decimal integer in [lo, hi]; false (after logging why) on anything else.
 bool int_flag(const char* arg, int64_t lo, int64_t hi, int64_t* out) {
@@ -102,23 +111,24 @@ int run_compile(int argc, char** argv) {
   int64_t stride = 30;
   constexpr int64_t kMaxDays = 1 << 20;
   for (int i = 2; i < argc; ++i) {
+    const char* arg = argv[i];
     bool ok = true;
-    if (std::strncmp(argv[i], "--dir=", 6) == 0) dir = argv[i] + 6;
-    if (std::strcmp(argv[i], "--small") == 0) small = true;
-    if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      ok = int_flag(argv[i] + 7, 0, INT64_MAX, &seed);
-    }
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      ok = int_flag(argv[i] + 10, 0, 1024, &threads);
-    }
-    if (std::strncmp(argv[i], "--start=", 8) == 0) {
-      ok = int_flag(argv[i] + 8, -kMaxDays, kMaxDays, &start);
-    }
-    if (std::strncmp(argv[i], "--days=", 7) == 0) {
-      ok = int_flag(argv[i] + 7, 1, kMaxDays, &days);
-    }
-    if (std::strncmp(argv[i], "--stride=", 9) == 0) {
-      ok = int_flag(argv[i] + 9, 1, kMaxDays, &stride);
+    if (std::strncmp(arg, "--dir=", 6) == 0) {
+      dir = arg + 6;
+    } else if (std::strcmp(arg, "--small") == 0) {
+      small = true;
+    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
+      ok = int_flag(arg + 7, 0, INT64_MAX, &seed);
+    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
+      ok = int_flag(arg + 10, 0, 1024, &threads);
+    } else if (std::strncmp(arg, "--start=", 8) == 0) {
+      ok = int_flag(arg + 8, -kMaxDays, kMaxDays, &start);
+    } else if (std::strncmp(arg, "--days=", 7) == 0) {
+      ok = int_flag(arg + 7, 1, kMaxDays, &days);
+    } else if (std::strncmp(arg, "--stride=", 9) == 0) {
+      ok = int_flag(arg + 9, 1, kMaxDays, &stride);
+    } else {
+      return unknown_argument(arg);
     }
     if (!ok) return usage();
   }
@@ -174,10 +184,13 @@ int run_delta(int argc, char** argv) {
   std::string dir;
   int64_t keyframe_every = 7;
   for (int i = 2; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--dir=", 6) == 0) dir = argv[i] + 6;
-    if (std::strncmp(argv[i], "--keyframe-every=", 17) == 0 &&
-        !int_flag(argv[i] + 17, 1, 1 << 20, &keyframe_every)) {
-      return usage();
+    const char* arg = argv[i];
+    if (std::strncmp(arg, "--dir=", 6) == 0) {
+      dir = arg + 6;
+    } else if (std::strncmp(arg, "--keyframe-every=", 17) == 0) {
+      if (!int_flag(arg + 17, 1, 1 << 20, &keyframe_every)) return usage();
+    } else {
+      return unknown_argument(arg);
     }
   }
   if (dir.empty()) return usage();
@@ -228,7 +241,8 @@ int run_delta(int argc, char** argv) {
 int run_expand(int argc, char** argv) {
   std::string dir;
   for (int i = 2; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--dir=", 6) == 0) dir = argv[i] + 6;
+    if (std::strncmp(argv[i], "--dir=", 6) != 0) return unknown_argument(argv[i]);
+    dir = argv[i] + 6;
   }
   if (dir.empty()) return usage();
 
@@ -320,37 +334,47 @@ int run_inspect(int argc, char** argv) {
   return failures ? 1 : 0;
 }
 
+/// Load a .dls file of either kind: keyframes directly, deltas through a
+/// disk-only store over the file's directory, which resolves the base chain
+/// through sibling YYYYMMDD.dls files. The store looks a delta up by its
+/// date, so the delta must sit at its own canonical name.
+std::shared_ptr<const svc::Snapshot> load_any(const std::string& path) {
+  if (svc::snapshot_file_kind(path) == svc::SnapshotFileKind::kKeyframe) {
+    return svc::load_snapshot(path, 1);
+  }
+  const net::Date date(svc::read_snapshot_delta_header(path).date_days);
+  const std::filesystem::path file(path);
+  std::shared_ptr<const svc::Snapshot> snap;
+  if (file.filename() == svc::SnapshotStore::file_name(date)) {
+    svc::SnapshotStore::Config store_config;
+    store_config.dir =
+        file.has_parent_path() ? file.parent_path().string() : ".";
+    store_config.save_compiled = false;
+    snap = svc::SnapshotStore(store_config).get(date);
+  }
+  if (!snap) {
+    throw svc::SnapshotFormatError(
+        svc::SnapshotIoError::kIo,
+        "a delta resolves its base chain by date, so it must sit at its "
+        "canonical name " +
+            svc::SnapshotStore::file_name(date));
+  }
+  return snap;
+}
+
 int run_verify(int argc, char** argv) {
   if (argc < 3) return usage();
   int failures = 0;
   for (int i = 2; i < argc; ++i) {
     try {
-      std::shared_ptr<const svc::Snapshot> snap;
-      std::string base_note;
+      std::shared_ptr<const svc::Snapshot> snap = load_any(argv[i]);
+      std::cout << argv[i] << ": OK — date " << snap->date().to_string();
       if (svc::snapshot_file_kind(argv[i]) == svc::SnapshotFileKind::kDelta) {
-        // Reconstruct over the base chain, resolved through sibling
-        // YYYYMMDD.dls files in the same directory.
         svc::SnapshotDeltaHeader h = svc::read_snapshot_delta_header(argv[i]);
-        svc::SnapshotStore::Config store_config;
-        store_config.dir =
-            std::filesystem::path(argv[i]).parent_path().string();
-        store_config.save_compiled = false;
-        svc::SnapshotStore store(store_config);
-        snap = store.get(net::Date(h.date_days));
-        if (!snap) {
-          // Canonical name missing: the chain can't be resolved from here.
-          throw svc::SnapshotFormatError(
-              svc::SnapshotIoError::kIo,
-              "delta verification needs the file at its canonical "
-              "YYYYMMDD.dls name (base chain resolves by date)");
-        }
-        base_note = " (delta over " + net::Date(h.base_date_days).to_string() +
-                    ")";
-      } else {
-        snap = svc::load_snapshot(argv[i], 1);
+        std::cout << " (delta over "
+                  << net::Date(h.base_date_days).to_string() << ")";
       }
-      std::cout << argv[i] << ": OK — date " << snap->date().to_string()
-                << base_note << ", " << snap->routed().interval_count()
+      std::cout << ", " << snap->routed().interval_count()
                 << " routed intervals, " << snap->drop().segment_count()
                 << " drop segments\n";
     } catch (const svc::SnapshotFormatError& e) {
@@ -360,27 +384,6 @@ int run_verify(int argc, char** argv) {
     }
   }
   return failures ? 1 : 0;
-}
-
-/// Load a .dls file of either kind: keyframes directly, deltas by resolving
-/// the base chain through sibling YYYYMMDD.dls files (like `verify`).
-std::shared_ptr<const svc::Snapshot> load_any(const char* path) {
-  if (svc::snapshot_file_kind(path) == svc::SnapshotFileKind::kDelta) {
-    svc::SnapshotDeltaHeader h = svc::read_snapshot_delta_header(path);
-    svc::SnapshotStore::Config store_config;
-    store_config.dir = std::filesystem::path(path).parent_path().string();
-    store_config.save_compiled = false;
-    svc::SnapshotStore store(store_config);
-    std::shared_ptr<const svc::Snapshot> snap = store.get(net::Date(h.date_days));
-    if (!snap) {
-      throw svc::SnapshotFormatError(
-          svc::SnapshotIoError::kIo,
-          "delta diffing needs the file at its canonical YYYYMMDD.dls name "
-          "(base chain resolves by date)");
-    }
-    return snap;
-  }
-  return svc::load_snapshot(path, 1);
 }
 
 int run_diff(int argc, char** argv) {

@@ -5,10 +5,11 @@
 // boolean fields (routed? signed?); SegmentMap covers the valued ones
 // (which DROP categories, which ROV status): paint (range, value) pairs —
 // later paints either overwrite (most-specific-wins, the router longest-
-// match semantic) or merge (label union) — then finalize() into one sorted
-// vector of disjoint segments. Lookup is a single upper_bound. When the
-// paints are prefixes given in prefix order, from_nested() builds the same
-// longest-match result in one stack sweep, without the paint map.
+// match semantic), merge (label union) or erase (unpaint) — then
+// finalize() into one sorted vector of disjoint segments. Lookup is a
+// single upper_bound. When the paints are prefixes given in prefix order,
+// from_nested() builds the same longest-match result in one stack sweep,
+// without the paint map.
 //
 // Like IntervalSet, a map either owns its segment array or is a non-owning
 // view over externally owned storage — the zero-copy form the snapshot
@@ -140,6 +141,12 @@ class SegmentMap {
   template <typename Merge>
   void merge(const Prefix& p, const T& value, Merge&& m) {
     merge(p.first(), p.end(), value, std::forward<Merge>(m));
+  }
+
+  /// Unpaint [begin, end): finalize() drops it like never-painted space.
+  void erase(uint64_t begin, uint64_t end) {
+    apply(begin, end,
+          [](const std::optional<T>&) { return std::optional<T>{}; });
   }
 
   /// Flatten the paint into the immutable sorted-segment form. Adjacent

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "rir/registry.hpp"
 #include "rpki/tal.hpp"
 
 namespace droplens::stream {
@@ -21,14 +20,7 @@ struct CoveringRoa {
 }  // namespace
 
 void Applier::seed_rir(const rir::Registry& registry) {
-  rir_ = net::SegmentMap<uint8_t>();
-  for (rir::Rir r : rir::kAllRirs) {
-    for (const net::IntervalSet::Interval& iv :
-         registry.administered(r).intervals()) {
-      rir_.assign(iv.begin, iv.end, static_cast<uint8_t>(r));
-    }
-  }
-  rir_.finalize();
+  rir_ = svc::administering_rirs(registry);
 }
 
 void Applier::refresh_rov(const net::Prefix& p, LiveRoute& route) const {
@@ -226,15 +218,7 @@ std::shared_ptr<const svc::Snapshot> Applier::compact(net::Date d,
       svc::Snapshot::DropInfo info;
       info.categories = l.categories;
       info.incident = l.incident;
-      drop.merge(p, info,
-                 [](const std::optional<svc::Snapshot::DropInfo>& existing,
-                    const svc::Snapshot::DropInfo& v) {
-                   if (!existing) return v;
-                   svc::Snapshot::DropInfo merged = *existing;
-                   merged.categories |= v.categories;
-                   merged.incident |= v.incident;
-                   return merged;
-                 });
+      drop.merge(p, info, svc::Snapshot::DropInfo::merge);
     }
   }
   drop.finalize();

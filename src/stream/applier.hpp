@@ -10,14 +10,16 @@
 // Why byte-identical works:
 //  - The boolean space fields are unions of prefixes; IntervalSet is
 //    canonical, so content equality is insertion-order-independent.
-//  - The DROP map ORs category bits per point — order-independent — and
+//  - The DROP map ORs category bits per point — order-independent — with
+//    the batch compile's own merge (svc::Snapshot::DropInfo::merge), and
 //    SegmentMap::finalize produces the canonical maximally-coalesced form
 //    of whatever point-function was painted.
 //  - The ROV paint goes least-specific-first; equal-length distinct
 //    prefixes are disjoint, so any order within a length class paints the
 //    same point-function. Per-prefix status is a worst-of fold (invalid >
 //    valid > not-found) over active origins — also order-independent.
-//  - The RIR paint is static (administered blocks), seeded once.
+//  - The RIR paint is static (administered blocks), seeded once by the
+//    batch compile's own function (svc::administering_rirs).
 //
 // ROV is recomputed incrementally: a BGP event refreshes its own prefix; a
 // ROA event refreshes every announced prefix the ROA covers (an ordered-map

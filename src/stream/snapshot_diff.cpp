@@ -1,7 +1,6 @@
 #include "stream/snapshot_diff.hpp"
 
 #include <algorithm>
-#include <map>
 #include <span>
 
 #include "net/cidr_cover.hpp"
@@ -91,58 +90,13 @@ void diff_segments(std::span<const typename net::SegmentMap<T>::Segment> a,
   }
 }
 
-/// Mutable interval→value map: what SegmentMap cannot do (it finalizes
-/// exactly once and has no unpaint). Seeded from a snapshot's segments,
-/// edited by set/clear, rebuilt into a fresh finalized SegmentMap.
+/// A fresh, unfinalized paint of `m`'s segments, for apply_diff to edit.
 template <typename T>
-class Editor {
- public:
-  explicit Editor(std::span<const typename net::SegmentMap<T>::Segment> segs) {
-    for (const auto& s : segs) map_.emplace(s.begin, Piece{s.end, s.value});
-  }
-
-  void set(uint64_t begin, uint64_t end, const T& value) {
-    clear(begin, end);
-    map_.emplace(begin, Piece{end, value});
-  }
-
-  void clear(uint64_t begin, uint64_t end) {
-    if (begin >= end) return;
-    auto it = map_.upper_bound(begin);
-    if (it != map_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->second.end > begin) {
-        if (prev->second.end > end) {
-          map_.emplace(end, Piece{prev->second.end, prev->second.value});
-        }
-        prev->second.end = begin;
-      }
-    }
-    it = map_.lower_bound(begin);
-    while (it != map_.end() && it->first < end) {
-      if (it->second.end > end) {
-        map_.emplace(end, Piece{it->second.end, it->second.value});
-      }
-      it = map_.erase(it);
-    }
-  }
-
-  net::SegmentMap<T> build() const {
-    net::SegmentMap<T> m;
-    for (const auto& [begin, piece] : map_) {
-      m.assign(begin, piece.end, piece.value);
-    }
-    m.finalize();
-    return m;
-  }
-
- private:
-  struct Piece {
-    uint64_t end;
-    T value;
-  };
-  std::map<uint64_t, Piece> map_;
-};
+net::SegmentMap<T> repaint(const net::SegmentMap<T>& m) {
+  net::SegmentMap<T> out;
+  for (const auto& s : m.segments()) out.assign(s.begin, s.end, s.value);
+  return out;
+}
 
 template <typename T>
 bool spans_equal(std::span<const T> a, std::span<const T> b) {
@@ -216,9 +170,9 @@ svc::Snapshot apply_diff(const svc::Snapshot& a,
   IntervalSet as0 = a.as0();
   IntervalSet irr = a.irr();
   IntervalSet allocated = a.allocated();
-  Editor<svc::Snapshot::DropInfo> drop(a.drop().segments());
-  Editor<uint8_t> rov(a.rov().segments());
-  Editor<uint8_t> rir(a.rir().segments());
+  net::SegmentMap<svc::Snapshot::DropInfo> drop = repaint(a.drop());
+  net::SegmentMap<uint8_t> rov = repaint(a.rov());
+  net::SegmentMap<uint8_t> rir = repaint(a.rir());
 
   for (const Event& e : events) {
     const uint64_t begin = e.prefix.first();
@@ -246,30 +200,33 @@ svc::Snapshot apply_diff(const svc::Snapshot& a,
         svc::Snapshot::DropInfo info;
         info.categories = e.aux;
         info.incident = e.aux2 ? 1 : 0;
-        drop.set(begin, end, info);
+        drop.assign(begin, end, info);
         break;
       }
-      case EventType::kDropRemove: drop.clear(begin, end); break;
+      case EventType::kDropRemove: drop.erase(begin, end); break;
       case EventType::kRovSet:
         if (e.value > static_cast<uint32_t>(svc::RovStatus::kUnrouted)) {
           throw InvariantError("stream: bad ROV status in flat diff");
         }
-        rov.set(begin, end, static_cast<uint8_t>(e.value));
+        rov.assign(begin, end, static_cast<uint8_t>(e.value));
         break;
-      case EventType::kRovClear: rov.clear(begin, end); break;
+      case EventType::kRovClear: rov.erase(begin, end); break;
       case EventType::kRirSet:
         if (e.value >= rir::kAllRirs.size()) {
           throw InvariantError("stream: bad RIR index in flat diff");
         }
-        rir.set(begin, end, static_cast<uint8_t>(e.value));
+        rir.assign(begin, end, static_cast<uint8_t>(e.value));
         break;
-      case EventType::kRirClear: rir.clear(begin, end); break;
+      case EventType::kRirClear: rir.erase(begin, end); break;
     }
   }
 
+  drop.finalize();
+  rov.finalize();
+  rir.finalize();
   return svc::Snapshot(version, date, a.degraded(), std::move(routed),
                        std::move(as0), std::move(irr), std::move(allocated),
-                       drop.build(), rov.build(), rir.build());
+                       std::move(drop), std::move(rov), std::move(rir));
 }
 
 bool snapshots_equal(const svc::Snapshot& a, const svc::Snapshot& b) {

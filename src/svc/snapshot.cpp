@@ -258,15 +258,7 @@ std::shared_ptr<const Snapshot> compile_snapshot(const core::Study& study,
         }
       }
       info.incident = entry.incident;
-      snap->drop_.merge(entry.prefix, info,
-                        [](const std::optional<Snapshot::DropInfo>& existing,
-                           const Snapshot::DropInfo& v) {
-                          if (!existing) return v;
-                          Snapshot::DropInfo merged = *existing;
-                          merged.categories |= v.categories;
-                          merged.incident |= v.incident;
-                          return merged;
-                        });
+      snap->drop_.merge(entry.prefix, info, Snapshot::DropInfo::merge);
     }
   } else {
     snap->degraded_ |= feed_bit(core::Feed::kDropFeed);
@@ -328,21 +320,25 @@ std::shared_ptr<const Snapshot> compile_snapshot(const core::Study& study,
     snap->rov_.finalize();
   }
 
-  // Administering RIR: painted from the static administered blocks (they
-  // are disjoint across RIRs, so paint order is irrelevant).
-  for (rir::Rir r : rir::kAllRirs) {
-    for (const net::IntervalSet::Interval& iv :
-         study.registry.administered(r).intervals()) {
-      snap->rir_.assign(iv.begin, iv.end, static_cast<uint8_t>(r));
-    }
-  }
-  snap->rir_.finalize();
+  snap->rir_ = administering_rirs(study.registry);
 
   // The interval sets were copied from the engine's cached (index-less)
   // sets; the finalize() calls above already indexed the segment maps.
   snap->build_indexes();
 
   return snap;
+}
+
+net::SegmentMap<uint8_t> administering_rirs(const rir::Registry& registry) {
+  net::SegmentMap<uint8_t> m;
+  for (rir::Rir r : rir::kAllRirs) {
+    for (const net::IntervalSet::Interval& iv :
+         registry.administered(r).intervals()) {
+      m.assign(iv.begin, iv.end, static_cast<uint8_t>(r));
+    }
+  }
+  m.finalize();
+  return m;
 }
 
 }  // namespace droplens::svc

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -94,6 +95,16 @@ class Snapshot {
     // hold a trap value (reading a bool whose byte is not 0/1 is UB); the
     // loader rejects files with other values.
     uint8_t incident = 0;
+
+    /// Label union of overlapping listings, as a SegmentMap::merge
+    /// function: categories and incident OR together, so the paint is
+    /// order-independent.
+    static DropInfo merge(const std::optional<DropInfo>& existing,
+                          const DropInfo& v) {
+      if (!existing) return v;
+      return DropInfo{static_cast<uint8_t>(existing->categories | v.categories),
+                      static_cast<uint8_t>(existing->incident | v.incident)};
+    }
 
     friend bool operator==(const DropInfo&, const DropInfo&) = default;
   };
@@ -194,5 +205,10 @@ class Snapshot {
 std::shared_ptr<const Snapshot> compile_snapshot(const core::Study& study,
                                                  const core::DropIndex& index,
                                                  net::Date d, uint64_t version);
+
+/// The administering-RIR map: every RIR's static administered blocks,
+/// painted with its rir::Rir index (the blocks are disjoint across RIRs).
+/// Compiled days and the live stream::Applier share this one paint.
+net::SegmentMap<uint8_t> administering_rirs(const rir::Registry& registry);
 
 }  // namespace droplens::svc

@@ -64,8 +64,31 @@ constexpr uint8_t kCategoryMask =
   throw SnapshotFormatError(code, "snapshot_io: " + what);
 }
 
-uint32_t header_crc(const SnapshotHeader& h) {
-  SnapshotHeader copy = h;
+// --- the two header kinds --------------------------------------------------
+//
+// Keyframes (SnapshotHeader) and deltas (SnapshotDeltaHeader) validate, read
+// and seal through the same templates below. They differ in exactly three
+// ways, each a compile-time branch on the header type: the format version,
+// each segment's element size (array elements, or 1 for patch bytes), and
+// the delta's rule that its base date is earlier than its own.
+
+template <typename H>
+constexpr bool kIsDelta = std::is_same_v<H, SnapshotDeltaHeader>;
+
+template <typename H>
+constexpr uint32_t kFormatVersion =
+    kIsDelta<H> ? kSnapshotDeltaFormatVersion : kSnapshotFormatVersion;
+
+/// Bytes per element of segment i: patch streams are byte streams.
+template <typename H>
+constexpr uint32_t elem_size(size_t i) {
+  return kIsDelta<H> ? 1 : kElemSizes[i];
+}
+
+/// CRC32C of the header with its own CRC field zeroed.
+template <typename H>
+uint32_t header_crc(const H& h) {
+  H copy = h;
   copy.header_crc32c = 0;
   return util::crc32c(&copy, sizeof(copy));
 }
@@ -97,6 +120,91 @@ void append_byte_segments(std::string& out,
     std::memcpy(buf + 8, &s.end, sizeof(s.end));
     buf[16] = static_cast<char>(s.value);
     out.append(buf, sizeof(buf));
+  }
+}
+
+/// Append segment i's canonical serialized bytes — the keyframe payload
+/// for it (zeroed padding), whatever mix of owned and view structures the
+/// snapshot holds.
+void append_segment(std::string& out, const Snapshot& snap, size_t i) {
+  switch (static_cast<SnapshotSegment>(i)) {
+    case SnapshotSegment::kRouted:
+      append_intervals(out, snap.routed().intervals());
+      break;
+    case SnapshotSegment::kAs0:
+      append_intervals(out, snap.as0().intervals());
+      break;
+    case SnapshotSegment::kIrr:
+      append_intervals(out, snap.irr().intervals());
+      break;
+    case SnapshotSegment::kAllocated:
+      append_intervals(out, snap.allocated().intervals());
+      break;
+    case SnapshotSegment::kDrop:
+      append_drop_segments(out, snap.drop().segments());
+      break;
+    case SnapshotSegment::kRov:
+      append_byte_segments(out, snap.rov().segments());
+      break;
+    case SnapshotSegment::kRir:
+      append_byte_segments(out, snap.rir().segments());
+      break;
+  }
+}
+
+std::string encode_segment(const Snapshot& snap, size_t i) {
+  std::string out;
+  append_segment(out, snap, i);
+  return out;
+}
+
+/// Assemble a file of `h`'s kind: fill the header fields both kinds share
+/// from `snap`, let append_fn(out, i) append each segment's bytes in file
+/// order, describe each in the segment table, and seal the header CRC. Any
+/// kind-specific field (the delta's base date) arrives already set in `h`.
+template <typename H, typename AppendFn>
+std::string seal_file(H h, const Snapshot& snap, AppendFn&& append_fn) {
+  std::memcpy(h.magic, kSnapshotMagic, sizeof(kSnapshotMagic));
+  h.format_version = kFormatVersion<H>;
+  h.date_days = snap.date().days();
+  h.degraded = snap.degraded();
+  h.writer_version = snap.version();
+
+  std::string out(sizeof(H), '\0');
+  for (size_t i = 0; i < kSnapshotSegmentCount; ++i) {
+    const size_t begin = out.size();
+    append_fn(out, i);
+    SegmentDesc& sd = h.segments[i];
+    sd.offset = begin;
+    sd.length = out.size() - begin;
+    sd.crc32c = util::crc32c(out.data() + begin, sd.length);
+    sd.elem_size = elem_size<H>(i);
+  }
+  h.file_length = out.size();
+  h.header_crc32c = header_crc(h);
+  std::memcpy(out.data(), &h, sizeof(h));
+  return out;
+}
+
+void write_file_atomically(const std::string& bytes, const std::string& path) {
+  std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (!f) {
+    fail(SnapshotIoError::kIo,
+         "open '" + tmp + "' for write: " + std::strerror(errno));
+  }
+  size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
+  bool ok = written == bytes.size();
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) {
+    std::remove(tmp.c_str());
+    fail(SnapshotIoError::kIo, "write '" + tmp + "' failed");
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    int err = errno;
+    std::remove(tmp.c_str());
+    fail(SnapshotIoError::kIo,
+         "rename '" + tmp + "' -> '" + path + "': " + std::strerror(err));
   }
 }
 
@@ -167,20 +275,22 @@ struct MappedSnapshot {
   Snapshot snap;
 };
 
-// --- shared validation -----------------------------------------------------
+// --- validation ------------------------------------------------------------
 
 /// Validate everything about a header that doesn't require payload access:
-/// magic, version, CRC, and the segment table's exact accounting of a file
-/// of `file_size` bytes.
-void validate_header(const SnapshotHeader& h, uint64_t file_size) {
+/// magic, version, CRC, declared length, degraded bits, a delta's base
+/// date, and the segment table's exact accounting of a file of `file_size`
+/// bytes.
+template <typename H>
+void validate_header(const H& h, uint64_t file_size) {
   if (std::memcmp(h.magic, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
     fail(SnapshotIoError::kBadMagic, "bad magic");
   }
-  if (h.format_version != kSnapshotFormatVersion) {
+  if (h.format_version != kFormatVersion<H>) {
     fail(SnapshotIoError::kBadVersion,
          "format version " + std::to_string(h.format_version) +
-             " (this build speaks " + std::to_string(kSnapshotFormatVersion) +
-             ")");
+             " where version " + std::to_string(kFormatVersion<H>) +
+             " was expected");
   }
   if (header_crc(h) != h.header_crc32c) {
     fail(SnapshotIoError::kBadHeaderCrc, "header CRC mismatch");
@@ -197,15 +307,23 @@ void validate_header(const SnapshotHeader& h, uint64_t file_size) {
   if (h.degraded & ~kFeedMask) {
     fail(SnapshotIoError::kBadInvariant, "unknown degraded-feed bits");
   }
+  if constexpr (kIsDelta<H>) {
+    if (h.base_date_days >= h.date_days) {
+      // Also rules out self-reference and cycles: every chain hop goes
+      // strictly back in time.
+      fail(SnapshotIoError::kBadInvariant,
+           "delta base is not earlier than its own date");
+    }
+  }
   // Strict sequential layout: each segment starts exactly where the
   // previous one ended, and the last ends at EOF. A corrupt length cannot
   // smuggle out-of-bounds reads or allocation — there is nothing to
   // allocate and nothing between or beyond the audited segments.
-  uint64_t cursor = sizeof(SnapshotHeader);
+  uint64_t cursor = sizeof(H);
   for (size_t i = 0; i < kSnapshotSegmentCount; ++i) {
     const SegmentDesc& sd = h.segments[i];
     std::string name(to_string(static_cast<SnapshotSegment>(i)));
-    if (sd.elem_size != kElemSizes[i]) {
+    if (sd.elem_size != elem_size<H>(i)) {
       fail(SnapshotIoError::kBadLayout, "segment " + name + ": element size " +
                                             std::to_string(sd.elem_size));
     }
@@ -224,6 +342,44 @@ void validate_header(const SnapshotHeader& h, uint64_t file_size) {
     fail(SnapshotIoError::kBadLayout,
          "segments account for " + std::to_string(cursor) + " of " +
              std::to_string(file_size) + " bytes");
+  }
+}
+
+/// A mapped file whose header passed validate_header.
+template <typename H>
+struct ValidatedFile {
+  MappedFile map;
+  H header;
+};
+
+/// mmap `path` and validate its header as kind H — the first stages of all
+/// four readers, so the header-only readers and the loaders agree on every
+/// check that doesn't touch payload. (Headers are one page anyway.)
+template <typename H>
+ValidatedFile<H> map_validated(const std::string& path) {
+  MappedFile map = MappedFile::open(path);
+  if (map.size() < sizeof(H)) {
+    fail(SnapshotIoError::kTruncated,
+         "'" + path + "' is " + std::to_string(map.size()) +
+             " bytes, shorter than the header");
+  }
+  H h;
+  std::memcpy(&h, map.data(), sizeof(h));
+  validate_header(h, map.size());
+  return {std::move(map), h};
+}
+
+/// Check every segment's stored CRC32C against the bytes it describes
+/// (layout already validated, so every range is in bounds).
+void check_segment_crcs(const char* file, const SegmentDesc* segments) {
+  for (size_t i = 0; i < kSnapshotSegmentCount; ++i) {
+    const SegmentDesc& sd = segments[i];
+    if (util::crc32c(file + sd.offset, sd.length) != sd.crc32c) {
+      fail(SnapshotIoError::kBadSegmentCrc,
+           "segment " +
+               std::string(to_string(static_cast<SnapshotSegment>(i))) +
+               ": CRC mismatch");
+    }
   }
 }
 
@@ -333,76 +489,10 @@ std::string_view to_string(SnapshotSegment s) {
 
 std::string serialize_snapshot(const Snapshot& snap) {
   obs::Span span("svc.serialize_snapshot");
-  std::string out(sizeof(SnapshotHeader), '\0');
-
-  SnapshotHeader h{};
-  std::memcpy(h.magic, kSnapshotMagic, sizeof(kSnapshotMagic));
-  h.format_version = kSnapshotFormatVersion;
-  h.date_days = snap.date().days();
-  h.degraded = snap.degraded();
-  h.writer_version = snap.version();
-
-  const auto seal = [&](SnapshotSegment seg, size_t payload_begin) {
-    SegmentDesc& sd = h.segments[static_cast<size_t>(seg)];
-    sd.offset = payload_begin;
-    sd.length = out.size() - payload_begin;
-    sd.crc32c = util::crc32c(out.data() + payload_begin, sd.length);
-    sd.elem_size = kElemSizes[static_cast<size_t>(seg)];
-  };
-
-  size_t begin = out.size();
-  append_intervals(out, snap.routed().intervals());
-  seal(SnapshotSegment::kRouted, begin);
-  begin = out.size();
-  append_intervals(out, snap.as0().intervals());
-  seal(SnapshotSegment::kAs0, begin);
-  begin = out.size();
-  append_intervals(out, snap.irr().intervals());
-  seal(SnapshotSegment::kIrr, begin);
-  begin = out.size();
-  append_intervals(out, snap.allocated().intervals());
-  seal(SnapshotSegment::kAllocated, begin);
-  begin = out.size();
-  append_drop_segments(out, snap.drop().segments());
-  seal(SnapshotSegment::kDrop, begin);
-  begin = out.size();
-  append_byte_segments(out, snap.rov().segments());
-  seal(SnapshotSegment::kRov, begin);
-  begin = out.size();
-  append_byte_segments(out, snap.rir().segments());
-  seal(SnapshotSegment::kRir, begin);
-
-  h.file_length = out.size();
-  h.header_crc32c = header_crc(h);
-  std::memcpy(out.data(), &h, sizeof(h));
-  return out;
+  return seal_file(SnapshotHeader{}, snap, [&](std::string& out, size_t i) {
+    append_segment(out, snap, i);
+  });
 }
-
-namespace {
-
-void write_file_atomically(const std::string& bytes, const std::string& path) {
-  std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (!f) {
-    fail(SnapshotIoError::kIo,
-         "open '" + tmp + "' for write: " + std::strerror(errno));
-  }
-  size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  bool ok = written == bytes.size();
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    fail(SnapshotIoError::kIo, "write '" + tmp + "' failed");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    int err = errno;
-    std::remove(tmp.c_str());
-    fail(SnapshotIoError::kIo,
-         "rename '" + tmp + "' -> '" + path + "': " + std::strerror(err));
-  }
-}
-
-}  // namespace
 
 void save_snapshot(const Snapshot& snap, const std::string& path) {
   obs::Span span("svc.save_snapshot");
@@ -418,29 +508,14 @@ std::shared_ptr<const Snapshot> load_snapshot(const std::string& path,
   obs::counter("droplens_svc_snapshot_loads_total", {},
                "Snapshots mmap-loaded from .dls files")
       .inc();
-  MappedFile map = MappedFile::open(path);
-  if (map.size() < sizeof(SnapshotHeader)) {
-    fail(SnapshotIoError::kTruncated,
-         "'" + path + "' is " + std::to_string(map.size()) +
-             " bytes, shorter than the header");
-  }
-  SnapshotHeader h;
-  std::memcpy(&h, map.data(), sizeof(h));
-  validate_header(h, map.size());
-  for (size_t i = 0; i < kSnapshotSegmentCount; ++i) {
-    const SegmentDesc& sd = h.segments[i];
-    if (util::crc32c(map.data() + sd.offset, sd.length) != sd.crc32c) {
-      fail(SnapshotIoError::kBadSegmentCrc,
-           "segment " +
-               std::string(to_string(static_cast<SnapshotSegment>(i))) +
-               ": CRC mismatch");
-    }
-  }
+  ValidatedFile<SnapshotHeader> f = map_validated<SnapshotHeader>(path);
+  const SnapshotHeader& h = f.header;
+  check_segment_crcs(f.map.data(), h.segments);
 
-  // The views below point into `map`; hand the mapping to the control block
+  // The views below point into the mapping; hand it to the control block
   // so snapshot and mapping share one lifetime. Moving a MappedFile moves
   // ownership, not the base address, so the views stay valid.
-  auto holder = std::make_shared<MappedSnapshot>(std::move(map));
+  auto holder = std::make_shared<MappedSnapshot>(std::move(f.map));
   holder->snap = build_snapshot_views(
       version, net::Date(h.date_days), h.degraded, [&](size_t i) {
         const SegmentDesc& sd = h.segments[i];
@@ -451,18 +526,7 @@ std::shared_ptr<const Snapshot> load_snapshot(const std::string& path,
 }
 
 SnapshotHeader read_snapshot_header(const std::string& path) {
-  // Reuse the mmap path: headers are one page anyway, and this guarantees
-  // inspect and load agree on every check that doesn't touch payload.
-  MappedFile map = MappedFile::open(path);
-  if (map.size() < sizeof(SnapshotHeader)) {
-    fail(SnapshotIoError::kTruncated,
-         "'" + path + "' is " + std::to_string(map.size()) +
-             " bytes, shorter than the header");
-  }
-  SnapshotHeader h;
-  std::memcpy(&h, map.data(), sizeof(h));
-  validate_header(h, map.size());
-  return h;
+  return map_validated<SnapshotHeader>(path).header;
 }
 
 // --- delta files -----------------------------------------------------------
@@ -479,43 +543,6 @@ constexpr uint64_t kMaxDeltaSegmentBytes = uint64_t{1} << 30;
 template <typename T>
 void put_le(std::string& out, T v) {
   out.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-uint32_t delta_header_crc(const SnapshotDeltaHeader& h) {
-  SnapshotDeltaHeader copy = h;
-  copy.header_crc32c = 0;
-  return util::crc32c(&copy, sizeof(copy));
-}
-
-/// One segment's canonical serialized bytes — exactly what
-/// serialize_snapshot emits for it (zeroed padding), whatever mix of owned
-/// and view structures the snapshot holds.
-std::string encode_segment(const Snapshot& snap, size_t i) {
-  std::string out;
-  switch (static_cast<SnapshotSegment>(i)) {
-    case SnapshotSegment::kRouted:
-      append_intervals(out, snap.routed().intervals());
-      break;
-    case SnapshotSegment::kAs0:
-      append_intervals(out, snap.as0().intervals());
-      break;
-    case SnapshotSegment::kIrr:
-      append_intervals(out, snap.irr().intervals());
-      break;
-    case SnapshotSegment::kAllocated:
-      append_intervals(out, snap.allocated().intervals());
-      break;
-    case SnapshotSegment::kDrop:
-      append_drop_segments(out, snap.drop().segments());
-      break;
-    case SnapshotSegment::kRov:
-      append_byte_segments(out, snap.rov().segments());
-      break;
-    case SnapshotSegment::kRir:
-      append_byte_segments(out, snap.rir().segments());
-      break;
-  }
-  return out;
 }
 
 /// Element-level diff of two canonical segment encodings, as a patch byte
@@ -683,66 +710,6 @@ std::string apply_patch(const char* data, uint64_t size,
   return out;
 }
 
-/// Everything about a delta header that doesn't require payload access.
-/// Mirrors validate_header; patch streams are byte-granular (elem_size 1).
-void validate_delta_header(const SnapshotDeltaHeader& h, uint64_t file_size) {
-  if (std::memcmp(h.magic, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
-    fail(SnapshotIoError::kBadMagic, "bad magic");
-  }
-  if (h.format_version != kSnapshotDeltaFormatVersion) {
-    fail(SnapshotIoError::kBadVersion,
-         "format version " + std::to_string(h.format_version) +
-             " where a delta (version " +
-             std::to_string(kSnapshotDeltaFormatVersion) + ") was expected");
-  }
-  if (delta_header_crc(h) != h.header_crc32c) {
-    fail(SnapshotIoError::kBadHeaderCrc, "header CRC mismatch");
-  }
-  if (h.file_length > file_size) {
-    fail(SnapshotIoError::kTruncated,
-         "file is " + std::to_string(file_size) + " bytes, header declares " +
-             std::to_string(h.file_length));
-  }
-  if (h.file_length < file_size) {
-    fail(SnapshotIoError::kBadLayout,
-         "trailing bytes past the declared file length");
-  }
-  if (h.degraded & ~kFeedMask) {
-    fail(SnapshotIoError::kBadInvariant, "unknown degraded-feed bits");
-  }
-  if (h.base_date_days >= h.date_days) {
-    // Also rules out self-reference and cycles: every chain hop goes
-    // strictly back in time.
-    fail(SnapshotIoError::kBadInvariant,
-         "delta base is not earlier than its own date");
-  }
-  uint64_t cursor = sizeof(SnapshotDeltaHeader);
-  for (size_t i = 0; i < kSnapshotSegmentCount; ++i) {
-    const SegmentDesc& sd = h.segments[i];
-    std::string name(to_string(static_cast<SnapshotSegment>(i)));
-    if (sd.elem_size != 1) {
-      fail(SnapshotIoError::kBadLayout,
-           "segment " + name + ": patch element size " +
-               std::to_string(sd.elem_size));
-    }
-    if (sd.offset != cursor) {
-      fail(SnapshotIoError::kBadLayout,
-           "segment " + name + ": offset " + std::to_string(sd.offset) +
-               ", expected " + std::to_string(cursor));
-    }
-    if (sd.length > file_size - cursor) {
-      fail(SnapshotIoError::kBadLayout,
-           "segment " + name + ": length " + std::to_string(sd.length));
-    }
-    cursor += sd.length;
-  }
-  if (cursor != file_size) {
-    fail(SnapshotIoError::kBadLayout,
-         "segments account for " + std::to_string(cursor) + " of " +
-             std::to_string(file_size) + " bytes");
-  }
-}
-
 /// Control-block payload of a delta-loaded snapshot: the reconstructed
 /// segment bytes in 8-byte-aligned owned storage, viewed by `snap`.
 struct PatchedSnapshot {
@@ -760,31 +727,12 @@ std::string serialize_snapshot_delta(const Snapshot& snap,
     throw InvariantError(
         "snapshot_io: delta base must be strictly earlier than the snapshot");
   }
-  std::string out(sizeof(SnapshotDeltaHeader), '\0');
-
   SnapshotDeltaHeader h{};
-  std::memcpy(h.magic, kSnapshotMagic, sizeof(kSnapshotMagic));
-  h.format_version = kSnapshotDeltaFormatVersion;
-  h.date_days = snap.date().days();
-  h.degraded = snap.degraded();
   h.base_date_days = base.date().days();
-  h.writer_version = snap.version();
-
-  for (size_t i = 0; i < kSnapshotSegmentCount; ++i) {
-    const size_t begin = out.size();
-    out.append(diff_segment(encode_segment(base, i), encode_segment(snap, i),
-                            kElemSizes[i]));
-    SegmentDesc& sd = h.segments[i];
-    sd.offset = begin;
-    sd.length = out.size() - begin;
-    sd.crc32c = util::crc32c(out.data() + begin, sd.length);
-    sd.elem_size = 1;
-  }
-
-  h.file_length = out.size();
-  h.header_crc32c = delta_header_crc(h);
-  std::memcpy(out.data(), &h, sizeof(h));
-  return out;
+  return seal_file(h, snap, [&](std::string& out, size_t i) {
+    out += diff_segment(encode_segment(base, i), encode_segment(snap, i),
+                        kElemSizes[i]);
+  });
 }
 
 void save_snapshot_delta(const Snapshot& snap, const Snapshot& base,
@@ -803,38 +751,24 @@ std::shared_ptr<const Snapshot> load_snapshot_delta(const std::string& path,
   obs::counter("droplens_svc_snapshot_delta_loads_total", {},
                "Snapshots reconstructed from delta .dls files")
       .inc();
-  MappedFile map = MappedFile::open(path);
-  if (map.size() < sizeof(SnapshotDeltaHeader)) {
-    fail(SnapshotIoError::kTruncated,
-         "'" + path + "' is " + std::to_string(map.size()) +
-             " bytes, shorter than the delta header");
-  }
-  SnapshotDeltaHeader h;
-  std::memcpy(&h, map.data(), sizeof(h));
-  validate_delta_header(h, map.size());
+  ValidatedFile<SnapshotDeltaHeader> f =
+      map_validated<SnapshotDeltaHeader>(path);
+  const SnapshotDeltaHeader& h = f.header;
   if (h.base_date_days != base.date().days()) {
     fail(SnapshotIoError::kBadInvariant,
          "delta declares base " + net::Date(h.base_date_days).to_string() +
              ", got " + base.date().to_string());
   }
-  for (size_t i = 0; i < kSnapshotSegmentCount; ++i) {
-    const SegmentDesc& sd = h.segments[i];
-    if (util::crc32c(map.data() + sd.offset, sd.length) != sd.crc32c) {
-      fail(SnapshotIoError::kBadSegmentCrc,
-           "segment " +
-               std::string(to_string(static_cast<SnapshotSegment>(i))) +
-               ": CRC mismatch");
-    }
-  }
+  check_segment_crcs(f.map.data(), h.segments);
 
   // Reconstruct every segment into owned aligned storage, then view it like
   // the mmap loader views the file — same canonicality and value checks.
   auto holder = std::make_shared<PatchedSnapshot>();
   for (size_t i = 0; i < kSnapshotSegmentCount; ++i) {
     const SegmentDesc& sd = h.segments[i];
-    std::string bytes =
-        apply_patch(map.data() + sd.offset, sd.length, encode_segment(base, i),
-                    kElemSizes[i], static_cast<SnapshotSegment>(i));
+    std::string bytes = apply_patch(f.map.data() + sd.offset, sd.length,
+                                    encode_segment(base, i), kElemSizes[i],
+                                    static_cast<SnapshotSegment>(i));
     holder->arrays[i].resize((bytes.size() + 7) / 8);
     // An empty segment leaves data() null, which memcpy must not be given.
     if (!bytes.empty()) {
@@ -852,16 +786,7 @@ std::shared_ptr<const Snapshot> load_snapshot_delta(const std::string& path,
 }
 
 SnapshotDeltaHeader read_snapshot_delta_header(const std::string& path) {
-  MappedFile map = MappedFile::open(path);
-  if (map.size() < sizeof(SnapshotDeltaHeader)) {
-    fail(SnapshotIoError::kTruncated,
-         "'" + path + "' is " + std::to_string(map.size()) +
-             " bytes, shorter than the delta header");
-  }
-  SnapshotDeltaHeader h;
-  std::memcpy(&h, map.data(), sizeof(h));
-  validate_delta_header(h, map.size());
-  return h;
+  return map_validated<SnapshotDeltaHeader>(path).header;
 }
 
 SnapshotFileKind snapshot_file_kind(const std::string& path) {

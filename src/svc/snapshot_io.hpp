@@ -63,6 +63,13 @@
 // formats coexist in one directory; keyframe loads stay zero-copy mmap
 // while a delta load materializes owned arrays (base must be resolved
 // first — SnapshotStore walks the base chain, snapshot_tool expands it).
+//
+// Both kinds validate, read and seal through one header path templated on
+// the header type, so every check and every SnapshotIoError above applies
+// to both in the same order. They differ in exactly three ways: the format
+// version, each segment's element size (16/24, or 1 for patch bytes), and
+// the delta's base date, which must be earlier than its own (checked after
+// the degraded bits, before the segment layout).
 #pragma once
 
 #include <bit>

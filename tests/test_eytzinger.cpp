@@ -311,7 +311,9 @@ TEST(SegmentMapDifferential, IndexedMatchesReference) {
       const uint32_t* a = v.lookup(p);
       const uint32_t* b = m.lookup_reference(p);
       ASSERT_EQ(a == nullptr, b == nullptr);
-      if (a) ASSERT_EQ(*a, *b);
+      if (a) {
+        ASSERT_EQ(*a, *b);
+      }
     }
   }
 }

@@ -185,7 +185,9 @@ TEST(PrefixMap, LongestMatchAgreesWithCoveringWalk) {
     Prefix got_matched;
     const int* got = m.longest_match(q, &got_matched);
     ASSERT_EQ(got, ref);
-    if (got) ASSERT_EQ(got_matched, ref_matched);
+    if (got) {
+      ASSERT_EQ(got_matched, ref_matched);
+    }
   }
 }
 
@@ -220,7 +222,9 @@ TEST_P(TriePropertyTest, AgreesWithBruteForce) {
     const int* got = trie.find(q);
     auto it = model.find(q);
     ASSERT_EQ(got != nullptr, it != model.end());
-    if (got) ASSERT_EQ(*got, it->second);
+    if (got) {
+      ASSERT_EQ(*got, it->second);
+    }
     // covering
     std::multiset<int> trie_covering, model_covering;
     trie.for_each_covering(q, [&](const Prefix&, int v) {

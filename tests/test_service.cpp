@@ -63,6 +63,30 @@ TEST(SegmentMap, AdjacentEqualSegmentsCoalesce) {
   EXPECT_EQ(map.segments()[0].end, P("10.0.0.0/24").end());
 }
 
+TEST(SegmentMap, EraseSplitsCoalescesAndUnpaints) {
+  using Seg = net::SegmentMap<int>::Segment;
+  net::SegmentMap<int> map;
+  map.assign(0, 100, 1);
+  map.assign(100, 200, 2);
+  map.assign(300, 400, 3);
+  map.erase(40, 60);    // inside one segment: splits it
+  map.erase(150, 320);  // across a boundary, over the gap, into the next
+  map.erase(500, 600);  // over unpainted space only: no-op
+  map.assign(45, 60, 1);  // repaints the hole's tail: coalesces rightward
+  map.finalize();
+  EXPECT_EQ(std::vector<Seg>(map.segments().begin(), map.segments().end()),
+            (std::vector<Seg>{{0, 40, 1}, {45, 100, 1}, {100, 150, 2},
+                              {320, 400, 3}}));
+  EXPECT_EQ(map.lookup(uint64_t{42}), nullptr);
+  EXPECT_EQ(map.lookup(uint64_t{250}), nullptr);
+
+  net::SegmentMap<int> cleared;
+  cleared.assign(0, 10, 1);
+  cleared.erase(0, 10);
+  cleared.finalize();
+  EXPECT_TRUE(cleared.empty());
+}
+
 class ServiceWorldTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {

@@ -11,9 +11,9 @@
 //      SnapshotFormatError; the loader never crashes and never allocates
 //      payload for oversized declared counts. Run this binary under both
 //      sanitizer presets (see tests/CMakeLists.txt).
-//   3. Format pin — a checked-in golden .dls fixture plus raw-offset
-//      assertions freeze format version 1; accidental layout drift fails
-//      here before it ships.
+//   3. Format pin — checked-in golden keyframe and delta fixtures plus
+//      raw-offset assertions freeze format versions 1 and 2; accidental
+//      layout drift fails here before it ships.
 //   4. Versioning — the SnapshotStore's monotonic counter never stamps two
 //      distinct snapshot objects with one version, across compiles, mmap
 //      loads, evictions, and rescans.
@@ -28,6 +28,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -310,7 +311,9 @@ TEST(SegmentMapView, AnswersIdenticallyAndRejectsNonCanonical) {
     const uint8_t* a = owned.lookup(P(s));
     const uint8_t* b = view.lookup(P(s));
     ASSERT_EQ(a == nullptr, b == nullptr) << s;
-    if (a) EXPECT_EQ(*a, *b) << s;
+    if (a) {
+      EXPECT_EQ(*a, *b) << s;
+    }
   }
 
   using Seg = net::SegmentMap<uint8_t>::Segment;
@@ -1028,6 +1031,40 @@ svc::Snapshot make_golden_next() {
                        std::move(rir));
 }
 
+// The delta twin of SerializedBytesMatchCheckedInFixture: the golden next
+// day as patches over the golden snapshot, pinned byte for byte, so a writer
+// change that alters delta bytes fails here rather than in another build's
+// loader.
+TEST(SnapshotGolden, DeltaBytesMatchCheckedInFixture) {
+  const std::string bytes = svc::serialize_snapshot_delta(
+      make_golden_next(), make_golden_snapshot());
+  const std::string fixture_path = DROPLENS_GOLDEN_DELTA;
+
+  if (std::getenv("DROPLENS_UPDATE_GOLDEN") != nullptr) {
+    write_file(fixture_path, bytes);
+    GTEST_SKIP() << "regenerated " << fixture_path << " (" << bytes.size()
+                 << " bytes)";
+  }
+
+  const std::string fixture = read_file(fixture_path);
+  ASSERT_EQ(bytes.size(), fixture.size())
+      << "serialized delta size drifted from the checked-in fixture; if the "
+         "format changed on purpose, bump kSnapshotDeltaFormatVersion and "
+         "rerun with DROPLENS_UPDATE_GOLDEN=1";
+  ASSERT_TRUE(bytes == fixture)
+      << "serialized delta bytes drifted from the checked-in fixture at "
+         "offset "
+      << std::distance(
+             fixture.begin(),
+             std::mismatch(fixture.begin(), fixture.end(), bytes.begin())
+                 .first);
+
+  // The checked-in bytes load over the golden base as the golden next day.
+  auto loaded =
+      svc::load_snapshot_delta(fixture_path, make_golden_snapshot(), 1);
+  expect_identical_answers(make_golden_next(), *loaded, golden_probes());
+}
+
 // reseal_header/reseal_segment for the 216-byte delta header layout.
 void reseal_delta_header(std::string& bytes) {
   svc::SnapshotDeltaHeader h{};
@@ -1212,6 +1249,197 @@ TEST_F(SnapshotDeltaTest, BaseNotEarlierInFileIsBadInvariant) {
   reseal_delta_header(mutated);
   EXPECT_EQ(reject_delta_code(path_, mutated, *next_),
             svc::SnapshotIoError::kBadInvariant);
+}
+
+// ---------------------------------------------------------------------------
+// Header stages over both kinds. Keyframes and deltas share one header
+// validator, so each header defect must draw the same typed code from both
+// kinds, and from a kind's loader and its header-only reader alike.
+
+template <typename H>
+struct HeaderKind;
+
+template <>
+struct HeaderKind<svc::SnapshotHeader> {
+  static std::string bytes() {
+    return svc::serialize_snapshot(make_golden_snapshot());
+  }
+  static void load(const std::string& path) { svc::load_snapshot(path, 1); }
+  static void read_header(const std::string& path) {
+    svc::read_snapshot_header(path);
+  }
+};
+
+template <>
+struct HeaderKind<svc::SnapshotDeltaHeader> {
+  static std::string bytes() {
+    return svc::serialize_snapshot_delta(make_golden_next(),
+                                         make_golden_snapshot());
+  }
+  static void load(const std::string& path) {
+    svc::load_snapshot_delta(path, make_golden_snapshot(), 1);
+  }
+  static void read_header(const std::string& path) {
+    svc::read_snapshot_delta_header(path);
+  }
+};
+
+struct HeaderKindName {
+  template <typename H>
+  static std::string GetName(int) {
+    return std::is_same_v<H, svc::SnapshotDeltaHeader> ? "Delta" : "Keyframe";
+  }
+};
+
+template <typename H>
+class SnapshotHeaderCorruption : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    bytes_ = HeaderKind<H>::bytes();
+    std::memcpy(&header_, bytes_.data(), sizeof header_);
+    path_ = tmp_.path("header.dls");
+  }
+
+  // The typed code `fn` throws, or nullopt if it returns.
+  template <typename Fn>
+  static std::optional<svc::SnapshotIoError> code_of(Fn&& fn) {
+    try {
+      fn();
+      return std::nullopt;
+    } catch (const svc::SnapshotFormatError& e) {
+      return e.code();
+    }
+  }
+
+  // Write `bytes`; the loader and the header reader must reject them with
+  // one code, which is returned.
+  std::optional<svc::SnapshotIoError> reject(const std::string& bytes) {
+    write_file(path_, bytes);
+    std::optional<svc::SnapshotIoError> loaded =
+        code_of([&] { HeaderKind<H>::load(path_); });
+    EXPECT_EQ(code_of([&] { HeaderKind<H>::read_header(path_); }), loaded)
+        << "header reader and loader disagree";
+    return loaded;
+  }
+
+  void reseal(std::string& bytes) const {
+    H h;
+    std::memcpy(&h, bytes.data(), sizeof h);
+    h.header_crc32c = 0;
+    poke<uint32_t>(bytes, offsetof(H, header_crc32c),
+                   util::crc32c(&h, sizeof h));
+  }
+
+  size_t seg_desc_at(size_t seg, size_t field_offset) const {
+    return offsetof(H, segments) + seg * sizeof(svc::SegmentDesc) +
+           field_offset;
+  }
+
+  TempDir tmp_;
+  std::string bytes_;
+  std::string path_;
+  H header_;
+};
+
+using HeaderTypes =
+    ::testing::Types<svc::SnapshotHeader, svc::SnapshotDeltaHeader>;
+TYPED_TEST_SUITE(SnapshotHeaderCorruption, HeaderTypes, HeaderKindName);
+
+TYPED_TEST(SnapshotHeaderCorruption, ShortOrEmptyFileIsTruncated) {
+  EXPECT_EQ(this->reject(""), svc::SnapshotIoError::kTruncated);
+  for (size_t len = 1; len < this->bytes_.size(); ++len) {
+    // Short of the header or of the declared length: truncated either way.
+    ASSERT_EQ(this->reject(this->bytes_.substr(0, len)),
+              svc::SnapshotIoError::kTruncated)
+        << len;
+  }
+}
+
+TYPED_TEST(SnapshotHeaderCorruption, WrongMagicIsBadMagic) {
+  std::string mutated = this->bytes_;
+  mutated[0] = 'X';
+  EXPECT_EQ(this->reject(mutated), svc::SnapshotIoError::kBadMagic);
+}
+
+TYPED_TEST(SnapshotHeaderCorruption, OtherKindsVersionIsBadVersion) {
+  for (uint32_t version : {svc::kSnapshotFormatVersion,
+                           svc::kSnapshotDeltaFormatVersion, uint32_t{3}}) {
+    if (version == this->header_.format_version) continue;
+    std::string mutated = this->bytes_;
+    poke<uint32_t>(mutated, offsetof(TypeParam, format_version), version);
+    this->reseal(mutated);
+    EXPECT_EQ(this->reject(mutated), svc::SnapshotIoError::kBadVersion)
+        << version;
+  }
+}
+
+TYPED_TEST(SnapshotHeaderCorruption, FlippedReservedByteIsBadHeaderCrc) {
+  std::string mutated = this->bytes_;
+  mutated[offsetof(TypeParam, reserved)] = 0x7f;
+  EXPECT_EQ(this->reject(mutated), svc::SnapshotIoError::kBadHeaderCrc);
+}
+
+TYPED_TEST(SnapshotHeaderCorruption, OversizedDeclaredFileLengthIsTruncated) {
+  std::string mutated = this->bytes_;
+  poke<uint64_t>(mutated, offsetof(TypeParam, file_length), uint64_t{1} << 50);
+  this->reseal(mutated);
+  EXPECT_EQ(this->reject(mutated), svc::SnapshotIoError::kTruncated);
+}
+
+TYPED_TEST(SnapshotHeaderCorruption, TrailingBytesAreBadLayout) {
+  EXPECT_EQ(this->reject(this->bytes_ + std::string(64, '\xab')),
+            svc::SnapshotIoError::kBadLayout);
+}
+
+TYPED_TEST(SnapshotHeaderCorruption, UnknownDegradedBitsAreBadInvariant) {
+  std::string mutated = this->bytes_;
+  poke<uint8_t>(mutated, offsetof(TypeParam, degraded), 0xff);
+  this->reseal(mutated);
+  EXPECT_EQ(this->reject(mutated), svc::SnapshotIoError::kBadInvariant);
+}
+
+TYPED_TEST(SnapshotHeaderCorruption, SegmentTableDefectsAreBadLayout) {
+  {
+    std::string shifted = this->bytes_;
+    poke<uint64_t>(shifted,
+                   this->seg_desc_at(2, offsetof(svc::SegmentDesc, offset)),
+                   this->header_.segments[2].offset + 8);
+    this->reseal(shifted);
+    EXPECT_EQ(this->reject(shifted), svc::SnapshotIoError::kBadLayout);
+  }
+  {
+    std::string resized = this->bytes_;  // neither kind's size for segment 0
+    poke<uint32_t>(resized,
+                   this->seg_desc_at(0, offsetof(svc::SegmentDesc, elem_size)),
+                   this->header_.segments[0].elem_size + 1);
+    this->reseal(resized);
+    EXPECT_EQ(this->reject(resized), svc::SnapshotIoError::kBadLayout);
+  }
+  for (uint64_t huge : {uint64_t{1} << 40, uint64_t{1} << 60}) {
+    std::string oversized = this->bytes_;
+    poke<uint64_t>(oversized,
+                   this->seg_desc_at(0, offsetof(svc::SegmentDesc, length)),
+                   huge);
+    this->reseal(oversized);
+    EXPECT_EQ(this->reject(oversized), svc::SnapshotIoError::kBadLayout)
+        << huge;
+  }
+}
+
+TYPED_TEST(SnapshotHeaderCorruption, CorruptedSegmentCrcFieldFailsOnlyTheLoad) {
+  std::string mutated = this->bytes_;
+  poke<uint32_t>(mutated,
+                 this->seg_desc_at(0, offsetof(svc::SegmentDesc, crc32c)),
+                 this->header_.segments[0].crc32c ^ 0xdeadbeef);
+  this->reseal(mutated);
+  write_file(this->path_, mutated);
+  EXPECT_EQ(this->code_of([&] { HeaderKind<TypeParam>::load(this->path_); }),
+            svc::SnapshotIoError::kBadSegmentCrc);
+  // The header itself is consistent, and the header reader never reads the
+  // segment bytes its CRCs cover.
+  EXPECT_EQ(
+      this->code_of([&] { HeaderKind<TypeParam>::read_header(this->path_); }),
+      std::nullopt);
 }
 
 // Store-level chain resolution: keyframe + delta + delta on disk.

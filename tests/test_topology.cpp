@@ -12,8 +12,8 @@ namespace {
 net::Asn A(uint32_t v) { return net::Asn(v); }
 
 // Topology:          T1 --peer-- T2
-//                   /  \           \
-//                  A    B           C
+//                   /  \         |
+//                  A    B        C
 //                  |
 //                  S
 class PropagationTest : public ::testing::Test {
