@@ -8,6 +8,10 @@
 // speedup.
 //
 //   $ ./bench_perf_engine [--small] [--seed=N] [--threads=N] [--reps=N]
+//
+// --threads takes 1..1024, --reps any count from 1 and --seed any uint64;
+// any other value or flag prints the usage line and exits 2 before the
+// world is generated.
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -17,6 +21,8 @@
 #include "bench/common.hpp"
 #include "core/report.hpp"
 #include "core/snapshot_cache.hpp"
+#include "util/error.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace droplens;
@@ -33,17 +39,35 @@ double run_report_ms(const core::Study& study,
   return std::chrono::duration<double, std::milli>(stop - start).count();
 }
 
+int usage() {
+  std::cerr << "usage: bench_perf_engine [--small] [--seed=N] "
+               "[--threads=1..1024] [--reps=N]\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   unsigned threads = util::ThreadPool::default_thread_count();
   int reps = 3;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<unsigned>(std::stoul(argv[i] + 10));
-    }
-    if (std::strncmp(argv[i], "--reps=", 7) == 0) {
-      reps = std::stoi(argv[i] + 7);
+    const char* arg = argv[i];
+    try {
+      if (std::strcmp(arg, "--small") == 0) {
+        // read by bench::Harness::make
+      } else if (std::strncmp(arg, "--seed=", 7) == 0) {
+        (void)util::parse_number<uint64_t>(arg + 7);  // Harness::make too
+      } else if (std::strncmp(arg, "--threads=", 10) == 0) {
+        threads = util::parse_number<uint32_t>(arg + 10, 1, 1024);
+      } else if (std::strncmp(arg, "--reps=", 7) == 0) {
+        reps = util::parse_number<int32_t>(arg + 7, 1);
+      } else {
+        std::cerr << "unknown flag: " << arg << "\n";
+        return usage();
+      }
+    } catch (const ParseError& e) {
+      std::cerr << arg << ": " << e.what() << "\n";
+      return usage();
     }
   }
   bench::Harness h = bench::Harness::make(argc, argv);
@@ -51,20 +75,25 @@ int main(int argc, char** argv) {
   core::ReportOptions options;
   options.include_series = true;
 
+  // Cold runs leave the harness's cache behind, so write_report builds a
+  // fresh one per run.
+  core::Study cold = *h.study;
+  cold.snapshots = nullptr;
+
   std::string seq_text, par_text, warm_text;
   double seq_ms = 0, par_ms = 0, warm_ms = 0;
   for (int rep = 0; rep < reps; ++rep) {
     options.threads = 1;
-    seq_ms += run_report_ms(*h.study, options, &seq_text);
+    seq_ms += run_report_ms(cold, options, &seq_text);
 
     options.threads = threads;
-    par_ms += run_report_ms(*h.study, options, &par_text);
+    par_ms += run_report_ms(cold, options, &par_text);
 
     // Warm: share one cache across a pool the Study carries, so the second
     // run hits the memoized snapshots.
     util::ThreadPool pool(threads);
-    core::SnapshotCache cache(h.study->registry, h.study->fleet,
-                              h.study->roas, h.study->drop);
+    core::SnapshotCache cache(h.world->registry, h.world->fleet,
+                              h.world->roas, h.world->drop, &h.world->irr);
     core::Study warm = *h.study;
     warm.pool = &pool;
     warm.snapshots = &cache;

@@ -35,6 +35,7 @@
 
 #include "bench/common.hpp"
 #include "core/drop_index.hpp"
+#include "core/snapshot_cache.hpp"
 #include "core/study.hpp"
 #include "obs/flight_recorder.hpp"
 #include "sim/rng.hpp"
@@ -106,6 +107,8 @@ int run_scale_gate() {
   std::cerr << "[scale gate: generating " << config.routed_prefixes
             << "-prefix world...]\n";
   auto world = sim::generate_scale(config);
+  core::SnapshotCache cache(world->registry, world->fleet, world->roas,
+                            world->drop, &world->irr);
   core::Study study{world->registry,
                     world->fleet,
                     world->irr,
@@ -114,6 +117,7 @@ int run_scale_gate() {
                     world->sbl,
                     world->config.window_begin,
                     world->config.window_end};
+  study.snapshots = &cache;
   const core::DropIndex index = core::DropIndex::build(study);
   auto compile_start = std::chrono::steady_clock::now();
   auto snap = svc::compile_snapshot(study, index, config.day, 1);

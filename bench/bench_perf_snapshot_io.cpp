@@ -81,10 +81,9 @@ int main(int argc, char** argv) {
     h.study->snapshots = nullptr;
   });
 
-  // Warm: one cache kept across compiles — the SIGHUP path.
-  core::SnapshotCache cache(h.world->registry, h.world->fleet, h.world->roas,
-                            h.world->drop, &h.world->irr);
-  h.study->snapshots = &cache;
+  // Warm: one cache kept across compiles — the SIGHUP path. The harness's
+  // own cache has not served a query yet.
+  h.study->snapshots = h.cache.get();
   auto snap = svc::compile_snapshot(*h.study, h.index, date, 1);
   std::vector<double> warm_us = time_us(iters, [&] {
     auto again = svc::compile_snapshot(*h.study, h.index, date, 1);

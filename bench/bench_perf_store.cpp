@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "bench/common.hpp"
-#include "core/snapshot_cache.hpp"
 #include "net/date.hpp"
 #include "svc/snapshot.hpp"
 #include "svc/snapshot_io.hpp"
@@ -82,9 +81,6 @@ int main(int argc, char** argv) {
   bench::Harness h = bench::Harness::make(argc, argv);
   util::ThreadPool pool(threads);
   h.study->pool = &pool;
-  core::SnapshotCache cache(h.world->registry, h.world->fleet, h.world->roas,
-                            h.world->drop, &h.world->irr);
-  h.study->snapshots = &cache;
 
   char buf_key[] = "/tmp/droplens_store_key_XXXXXX";
   char buf_dlt[] = "/tmp/droplens_store_dlt_XXXXXX";

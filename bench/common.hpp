@@ -1,31 +1,46 @@
 // Shared scaffolding for the per-figure bench binaries: world generation,
-// the Study view, and paper-vs-measured row printing.
+// the Study view with its SnapshotCache, and paper-vs-measured row printing.
 #pragma once
 
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
 
 #include "core/drop_index.hpp"
+#include "core/snapshot_cache.hpp"
 #include "core/study.hpp"
 #include "sim/generator.hpp"
+#include "util/error.hpp"
+#include "util/strings.hpp"
 #include "util/text_table.hpp"
 
 namespace droplens::bench {
 
 struct Harness {
   std::unique_ptr<sim::World> world;
-  std::unique_ptr<core::Study> study;
+  std::unique_ptr<core::SnapshotCache> cache;  // over the world's substrates
+  std::unique_ptr<core::Study> study;          // reads `cache`
   core::DropIndex index;
 
+  /// Reads `--small` and `--seed=N` and leaves every other argument to the
+  /// binary. A `--seed=` that is not a whole uint64 prints the usage line
+  /// and exits 2 before the world is generated.
   static Harness make(int argc, char** argv) {
     bool small = false;
     uint64_t seed = 0;
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--small") == 0) small = true;
       if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-        seed = std::stoull(argv[i] + 7);
+        try {
+          seed = util::parse_number<uint64_t>(argv[i] + 7);
+        } catch (const ParseError& e) {
+          std::cerr << argv[i] << ": " << e.what() << "\nusage: " << argv[0]
+                    << " [--small] [--seed=N]\n";
+          std::exit(2);
+        }
       }
     }
     sim::ScenarioConfig config =
@@ -35,9 +50,13 @@ struct Harness {
     std::cerr << "[generating " << (small ? "small" : "paper-scale")
               << " world...]\n";
     h.world = sim::generate(config);
+    h.cache = std::make_unique<core::SnapshotCache>(
+        h.world->registry, h.world->fleet, h.world->roas, h.world->drop,
+        &h.world->irr);
     h.study = std::make_unique<core::Study>(core::Study{
         h.world->registry, h.world->fleet, h.world->irr, h.world->roas,
         h.world->drop, h.world->sbl, config.window_begin, config.window_end});
+    h.study->snapshots = h.cache.get();
     h.index = core::DropIndex::build(*h.study);
     return h;
   }

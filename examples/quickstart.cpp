@@ -15,6 +15,7 @@
 #include "core/irr_analysis.hpp"
 #include "core/roa_status.hpp"
 #include "core/rpki_uptake.hpp"
+#include "core/snapshot_cache.hpp"
 #include "core/visibility.hpp"
 #include "sim/generator.hpp"
 #include "util/text_table.hpp"
@@ -30,9 +31,12 @@ int main(int argc, char** argv) {
             << " synthetic Internet (seed " << config.seed << ")...\n";
   std::unique_ptr<sim::World> world = sim::generate(config);
 
+  core::SnapshotCache cache(world->registry, world->fleet, world->roas,
+                            world->drop, &world->irr);
   core::Study study{world->registry, world->fleet,  world->irr,
                     world->roas,     world->drop,   world->sbl,
                     config.window_begin, config.window_end};
+  study.snapshots = &cache;
   core::DropIndex index = core::DropIndex::build(study);
 
   std::cout << "\n== The DROP list ==\n";

@@ -1,9 +1,11 @@
 // Engine facade used inside the analyses.
 //
-// Analyses call these helpers instead of hitting the substrates directly;
-// each helper routes through the Study's SnapshotCache / ThreadPool when
-// present and falls back to the original direct computation when not, so a
-// plain `Study{...}` with no engine attached behaves exactly as before.
+// Analyses call these helpers instead of hitting the substrates directly.
+// Every per-day set comes from the Study's SnapshotCache, which a Study
+// must carry before it reaches an analysis or svc::compile_snapshot:
+// cache() raises the one InvariantError for a Study without one. The
+// substrates' trie functions are the oracle the differential tests compare
+// the cache against (tests/trie_oracle.hpp); no analysis falls back to them.
 //
 // Determinism contract: engine::parallel_for(study, n, fn) must only be
 // used with an fn that writes its result to slot i of a pre-sized buffer
@@ -20,6 +22,7 @@
 #include "core/data_quality.hpp"
 #include "core/snapshot_cache.hpp"
 #include "core/study.hpp"
+#include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace droplens::core::engine {
@@ -42,55 +45,53 @@ inline bool day_available(const Study& s, std::initializer_list<Feed> feeds,
   return true;
 }
 
+/// The Study's SnapshotCache. A Study without one is a wiring error, not a
+/// slower path: this is the one place it is raised.
+inline const SnapshotCache& cache(const Study& s) {
+  if (!s.snapshots) {
+    throw InvariantError("core::Study has no SnapshotCache attached");
+  }
+  return *s.snapshots;
+}
+
 // Each space helper returns nullptr for a day its substrate cannot serve —
 // either the ingestion ledger marked the day unavailable, or the underlying
 // computation failed (see SnapshotCache). Callers in per-day sampling loops
 // must treat nullptr as "skip and count this day", not dereference it.
 
 inline SetPtr routed_space(const Study& s, net::Date d) {
-  if (!day_available(s, Feed::kBgpUpdates, d)) return nullptr;
-  if (s.snapshots) return s.snapshots->routed_space(d);
-  return std::make_shared<const net::IntervalSet>(s.fleet.routed_space(d));
+  const SnapshotCache& c = cache(s);
+  return day_available(s, Feed::kBgpUpdates, d) ? c.routed_space(d) : nullptr;
 }
 
 inline SetPtr allocated_space(const Study& s, net::Date d) {
-  if (!day_available(s, Feed::kDelegations, d)) return nullptr;
-  if (s.snapshots) return s.snapshots->allocated_space(d);
-  return std::make_shared<const net::IntervalSet>(
-      s.registry.allocated_space(d));
+  const SnapshotCache& c = cache(s);
+  return day_available(s, Feed::kDelegations, d) ? c.allocated_space(d)
+                                                  : nullptr;
 }
 
 inline SetPtr signed_space(const Study& s, net::Date d, rpki::TalSet tals,
                            rpki::RoaArchive::Filter filter =
                                rpki::RoaArchive::Filter::kAll) {
-  if (!day_available(s, Feed::kRoas, d)) return nullptr;
-  if (s.snapshots) return s.snapshots->signed_space(d, tals, filter);
-  return std::make_shared<const net::IntervalSet>(
-      s.roas.signed_space(d, tals, filter));
+  const SnapshotCache& c = cache(s);
+  return day_available(s, Feed::kRoas, d) ? c.signed_space(d, tals, filter)
+                                          : nullptr;
 }
 
 inline SetPtr free_pool(const Study& s, rir::Rir rir, net::Date d) {
-  if (!day_available(s, Feed::kDelegations, d)) return nullptr;
-  if (s.snapshots) return s.snapshots->free_pool(rir, d);
-  return std::make_shared<const net::IntervalSet>(s.registry.free_pool(rir, d));
+  const SnapshotCache& c = cache(s);
+  return day_available(s, Feed::kDelegations, d) ? c.free_pool(rir, d)
+                                                  : nullptr;
 }
 
 inline SetPtr irr_space(const Study& s, net::Date d) {
-  if (!day_available(s, Feed::kIrr, d)) return nullptr;
-  if (s.snapshots && s.snapshots->has_irr()) return s.snapshots->irr_space(d);
-  net::IntervalSet covered;
-  for (const irr::Registration& reg : s.irr.all_history()) {
-    if (reg.live_on(d)) covered.insert(reg.object.prefix);
-  }
-  return std::make_shared<const net::IntervalSet>(std::move(covered));
+  const SnapshotCache& c = cache(s);
+  return day_available(s, Feed::kIrr, d) ? c.irr_space(d) : nullptr;
 }
 
 inline SetPtr drop_space(const Study& s, net::Date d) {
-  if (!day_available(s, Feed::kDropFeed, d)) return nullptr;
-  if (s.snapshots) return s.snapshots->drop_space(d);
-  net::IntervalSet active;
-  for (const net::Prefix& p : s.drop.snapshot(d)) active.insert(p);
-  return std::make_shared<const net::IntervalSet>(std::move(active));
+  const SnapshotCache& c = cache(s);
+  return day_available(s, Feed::kDropFeed, d) ? c.drop_space(d) : nullptr;
 }
 
 /// fn(i) for i in [0, n): across the Study's pool when one is attached,

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "rpki/tal.hpp"
+#include "util/error.hpp"
 
 namespace droplens::core {
 
@@ -87,6 +88,7 @@ SnapshotCache::SnapshotCache(const rir::Registry& registry,
                              const drop::DropList& drop,
                              const irr::Database* irr)
     : registry_(registry), fleet_(fleet), roas_(roas), drop_(drop), irr_(irr) {
+  if (!irr_) throw InvariantError("SnapshotCache needs an IRR database");
   for (size_t i = 0; i < kShardCount; ++i) {
     obs::Labels labels{{"shard", std::to_string(i)}};
     shards_[i].hits_metric =

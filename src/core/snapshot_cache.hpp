@@ -14,8 +14,10 @@
 // filter reads). A routed, allocated, free-pool or signed set is then one
 // linear scan of a table into IntervalSet::from_sorted, and route_validity()
 // validates a day's announced prefixes against its ROAs in one merge sweep.
-// The substrates' own trie functions stay the no-cache path and the oracle
-// the differential tests compare every table scan against.
+// This is the only path: every Study that reaches an analysis or
+// svc::compile_snapshot carries a cache (core/engine.hpp). The substrates'
+// own trie functions are the oracle the differential tests compare every
+// table scan against (tests/trie_oracle.hpp).
 //
 // Thread safety: the tables are built under std::call_once and immutable
 // afterwards. Memoized sets are get-or-compute under a per-shard mutex and
@@ -52,11 +54,10 @@ class SnapshotCache {
  public:
   using SetPtr = std::shared_ptr<const net::IntervalSet>;
 
-  /// `irr` is optional (older call sites don't pass it); without it
-  /// irr_space() reports "no substrate" via has_irr() and must not be used.
+  /// Throws InvariantError when `irr` is null: irr_space() reads it.
   SnapshotCache(const rir::Registry& registry, const bgp::CollectorFleet& fleet,
                 const rpki::RoaArchive& roas, const drop::DropList& drop,
-                const irr::Database* irr = nullptr);
+                const irr::Database* irr);
   ~SnapshotCache();
 
   SnapshotCache(const SnapshotCache&) = delete;
@@ -79,10 +80,8 @@ class SnapshotCache {
   /// Space actively DROP-listed on `d`.
   SetPtr drop_space(net::Date d) const;
 
-  /// Space covered by route objects live in the IRR on `d`. Only valid when
-  /// the cache was built with an IRR database (has_irr()).
+  /// Space covered by route objects live in the IRR on `d`.
   SetPtr irr_space(net::Date d) const;
-  bool has_irr() const { return irr_ != nullptr; }
 
   /// One prefix announced on a day, with the worst RFC 6811 validity over
   /// its origins that day (invalid, then valid, then not-found).
@@ -155,7 +154,7 @@ class SnapshotCache {
   const bgp::CollectorFleet& fleet_;
   const rpki::RoaArchive& roas_;
   const drop::DropList& drop_;
-  const irr::Database* irr_;
+  const irr::Database* irr_;  // never null
   mutable std::once_flag tables_once_;
   mutable std::unique_ptr<const Tables> tables_;
   mutable std::array<Shard, kShardCount> shards_;

@@ -30,10 +30,12 @@ struct Study {
   net::Date window_begin;
   net::Date window_end;
 
-  // Optional engine hooks (see core/engine.hpp). `snapshots` shares the
-  // expensive per-day IntervalSet computations across analyses; `pool` fans
-  // per-date and per-entry work across threads. Both null — the default for
-  // existing aggregate initializers — runs the original sequential path.
+  // Engine hooks (see core/engine.hpp). `snapshots`, a SnapshotCache over
+  // the same substrates, serves every per-day set; it is required before
+  // the Study reaches an analysis or svc::compile_snapshot (a per-day set
+  // asked of a Study without one is an InvariantError), and write_report
+  // attaches one when the caller has none. `pool` is optional and fans
+  // per-date and per-entry work across threads; null runs it inline.
   SnapshotCache* snapshots = nullptr;
   util::ThreadPool* pool = nullptr;
 

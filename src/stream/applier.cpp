@@ -225,7 +225,8 @@ std::shared_ptr<const svc::Snapshot> Applier::compact(net::Date d,
 
   // ROV paint, least-specific-first. Equal-length distinct prefixes are
   // disjoint, so the within-length order never changes the point-function —
-  // the finalized segments match the batch's stable_sort-then-paint.
+  // the finalized segments match the trie oracle's stable_sort-then-paint
+  // and compile_snapshot's from_nested sweep.
   std::vector<std::pair<net::Prefix, uint8_t>> announced;
   announced.reserve(routes_.size());
   for (const auto& [p, route] : routes_) {

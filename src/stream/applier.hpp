@@ -14,10 +14,11 @@
 //    the batch compile's own merge (svc::Snapshot::DropInfo::merge), and
 //    SegmentMap::finalize produces the canonical maximally-coalesced form
 //    of whatever point-function was painted.
-//  - The ROV paint goes least-specific-first; equal-length distinct
-//    prefixes are disjoint, so any order within a length class paints the
-//    same point-function. Per-prefix status is a worst-of fold (invalid >
-//    valid > not-found) over active origins — also order-independent.
+//  - The ROV paint goes least-specific-first, like the tests' trie oracle
+//    (tests/trie_oracle.hpp); equal-length distinct prefixes are disjoint,
+//    so any order within a length class paints the same point-function.
+//    Per-prefix status is a worst-of fold (invalid > valid > not-found)
+//    over active origins — also order-independent.
 //  - The RIR paint is static (administered blocks), seeded once by the
 //    batch compile's own function (svc::administering_rirs).
 //

@@ -272,52 +272,18 @@ std::shared_ptr<const Snapshot> compile_snapshot(const core::Study& study,
       (snap->degraded_ & feed_bit(core::Feed::kBgpUpdates)) == 0;
   const bool roas_ok = core::engine::day_available(study, core::Feed::kRoas, d);
   if (!roas_ok) snap->degraded_ |= feed_bit(core::Feed::kRoas);
-  if (bgp_ok && study.snapshots) {
+  if (bgp_ok) {
     // The cache's merge sweep yields the day's routes in prefix order with
     // their status; one longest-match sweep emits the finished segments.
     using Route = core::SnapshotCache::RouteValidity;
-    const std::vector<Route> routes = study.snapshots->route_validity(
-        d, roas_ok ? rpki::TalSet::defaults() : rpki::TalSet());
+    const std::vector<Route> routes =
+        core::engine::cache(study).route_validity(
+            d, roas_ok ? rpki::TalSet::defaults() : rpki::TalSet());
     snap->rov_ =
         net::SegmentMap<uint8_t>::from_nested(routes, [](const Route& r) {
           return net::SegmentMap<uint8_t>::Segment{
               r.prefix.first(), r.prefix.end(), rov_status(r.validity)};
         });
-  } else if (bgp_ok) {
-    // No cache: validate each announced prefix against the ROA trie and
-    // paint least-specific-first. The validation fan-out writes to slot i;
-    // painting is sequential in index order, keeping the artifact
-    // byte-identical for any thread count.
-    std::vector<net::Prefix> announced = study.fleet.announced_prefixes_on(d);
-    std::stable_sort(announced.begin(), announced.end(),
-                     [](const net::Prefix& a, const net::Prefix& b) {
-                       return a.length() < b.length();
-                     });
-    std::vector<uint8_t> status(announced.size(),
-                                static_cast<uint8_t>(RovStatus::kNotFound));
-    if (roas_ok) {
-      core::engine::parallel_for(study, announced.size(), [&](size_t i) {
-        RovStatus worst = RovStatus::kNotFound;
-        for (net::Asn origin : study.fleet.origins_on(announced[i], d)) {
-          switch (study.roas.validate_route(announced[i], origin, d)) {
-            case rpki::Validity::kInvalid:
-              worst = RovStatus::kInvalid;
-              break;
-            case rpki::Validity::kValid:
-              if (worst != RovStatus::kInvalid) worst = RovStatus::kValid;
-              break;
-            case rpki::Validity::kNotFound:
-              break;
-          }
-          if (worst == RovStatus::kInvalid) break;
-        }
-        status[i] = static_cast<uint8_t>(worst);
-      });
-    }
-    for (size_t i = 0; i < announced.size(); ++i) {
-      snap->rov_.assign(announced[i], status[i]);
-    }
-    snap->rov_.finalize();
   }
 
   snap->rir_ = administering_rirs(study.registry);

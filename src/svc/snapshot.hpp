@@ -195,13 +195,13 @@ class Snapshot {
   net::SegmentMap<uint8_t> rir_;  // administering rir::Rir index
 };
 
-/// Compile the study's state for day `d` into a Snapshot. Routes through the
-/// Study's SnapshotCache / ThreadPool / DataQuality hooks when present. With
-/// a cache, the routed, allocated and AS0 sets come from its lifetime-table
-/// scans and the ROV status from its route_validity() sweep, with no pool
-/// task; without one, from the substrates' tries and a pool fan-out. The
-/// result is deterministic: byte-identical for either path and any thread
-/// count.
+/// Compile the study's state for day `d` into a Snapshot. The Study must
+/// carry a SnapshotCache (InvariantError otherwise): the routed, allocated,
+/// AS0 and IRR sets come from its lifetime-table scans and the ROV status
+/// from its route_validity() sweep, with no pool task. The Study's
+/// DataQuality ledger, when set, degrades the days it marks. The result is
+/// deterministic: byte-identical for any thread count, and to the trie
+/// compile the differential tests keep as the oracle.
 std::shared_ptr<const Snapshot> compile_snapshot(const core::Study& study,
                                                  const core::DropIndex& index,
                                                  net::Date d, uint64_t version);

@@ -9,6 +9,7 @@
 #include "core/irr_analysis.hpp"
 #include "core/roa_status.hpp"
 #include "core/rpki_uptake.hpp"
+#include "core/snapshot_cache.hpp"
 #include "core/visibility.hpp"
 #include "sim/generator.hpp"
 
@@ -20,25 +21,31 @@ class AnalysisTest : public ::testing::Test {
   static void SetUpTestSuite() {
     config_ = new sim::ScenarioConfig(sim::ScenarioConfig::small());
     world_ = sim::generate(*config_).release();
+    cache_ = new SnapshotCache(world_->registry, world_->fleet, world_->roas,
+                               world_->drop, &world_->irr);
     study_ = new Study{world_->registry,    world_->fleet, world_->irr,
                        world_->roas,        world_->drop,  world_->sbl,
                        config_->window_begin, config_->window_end};
+    study_->snapshots = cache_;
     index_ = new DropIndex(DropIndex::build(*study_));
   }
   static void TearDownTestSuite() {
     delete index_;
     delete study_;
+    delete cache_;
     delete world_;
     delete config_;
   }
   static sim::ScenarioConfig* config_;
   static sim::World* world_;
+  static SnapshotCache* cache_;
   static Study* study_;
   static DropIndex* index_;
 };
 
 sim::ScenarioConfig* AnalysisTest::config_ = nullptr;
 sim::World* AnalysisTest::world_ = nullptr;
+SnapshotCache* AnalysisTest::cache_ = nullptr;
 Study* AnalysisTest::study_ = nullptr;
 DropIndex* AnalysisTest::index_ = nullptr;
 

@@ -2,14 +2,15 @@
 // (label `window`, so both sanitizer jobs run it).
 //
 // The cache answers every per-day set and the per-route RFC 6811 statuses
-// from flat lifetime tables; compile_snapshot's cache path paints ROV with a
-// longest-match sweep. The trie functions and the no-cache compile are the
-// oracles:
+// from flat lifetime tables; compile_snapshot paints ROV with a
+// longest-match sweep. The trie functions and the trie compile
+// (trie_oracle.hpp) are the oracles:
 //   1. every cached set equals its trie function on 30+ small-world days and
 //      5 paper-scale days, and route_validity() equals the validate_route
 //      fold over origins_on;
-//   2. compile_snapshot with a cache serializes to the same bytes as without
-//      one, also when a DataQuality ledger drops BGP, ROA and delegation days;
+//   2. compile_snapshot serializes to the same bytes as the trie compile,
+//      also when a DataQuality ledger drops BGP, ROA, delegation, IRR and
+//      DROP-feed days, each alone and all five on one day;
 //   3. pool threads racing the first query of a fresh cache all see the same
 //      tables (the lazy-build race, a TSan gate);
 //   4. a cached compile runs no pool task.
@@ -27,6 +28,7 @@
 #include "sim/generator.hpp"
 #include "svc/snapshot.hpp"
 #include "svc/snapshot_io.hpp"
+#include "trie_oracle.hpp"
 #include "util/thread_pool.hpp"
 
 namespace droplens {
@@ -37,26 +39,6 @@ using Filter = rpki::RoaArchive::Filter;
 core::Study study_of(const sim::World& w) {
   return core::Study{w.registry,           w.fleet, w.irr, w.roas, w.drop,
                      w.sbl, w.config.window_begin, w.config.window_end};
-}
-
-/// The validate_route fold compile_snapshot's no-cache path runs, per
-/// announced prefix.
-std::vector<core::SnapshotCache::RouteValidity> trie_route_validity(
-    const sim::World& w, net::Date d, rpki::TalSet tals) {
-  std::vector<core::SnapshotCache::RouteValidity> out;
-  for (const net::Prefix& p : w.fleet.announced_prefixes_on(d)) {
-    rpki::Validity worst = rpki::Validity::kNotFound;
-    for (net::Asn origin : w.fleet.origins_on(p, d)) {
-      const rpki::Validity v = w.roas.validate_route(p, origin, d, tals);
-      if (v == rpki::Validity::kInvalid) {
-        worst = v;
-        break;
-      }
-      if (v == rpki::Validity::kValid) worst = v;
-    }
-    out.push_back({p, worst});
-  }
-  return out;
 }
 
 void expect_route_validity_eq(
@@ -78,6 +60,8 @@ void expect_tables_match_tries(const core::SnapshotCache& cache,
   SCOPED_TRACE(d.to_string());
   EXPECT_EQ(*cache.routed_space(d), w.fleet.routed_space(d));
   EXPECT_EQ(*cache.allocated_space(d), w.registry.allocated_space(d));
+  EXPECT_EQ(*cache.irr_space(d), oracle::irr_space(w.irr, d));
+  EXPECT_EQ(*cache.drop_space(d), oracle::drop_space(w.drop, d));
   for (rir::Rir r : rir::kAllRirs) {
     EXPECT_EQ(*cache.free_pool(r, d), w.registry.free_pool(r, d))
         << rir::display_name(r);
@@ -92,7 +76,8 @@ void expect_tables_match_tries(const core::SnapshotCache& cache,
   for (rpki::TalSet tals :
        {rpki::TalSet::defaults(), rpki::TalSet::all(), rpki::TalSet()}) {
     expect_route_validity_eq(cache.route_validity(d, tals),
-                             trie_route_validity(w, d, tals), d);
+                             oracle::route_validity(w.fleet, w.roas, d, tals),
+                             d);
   }
 }
 
@@ -129,38 +114,48 @@ TEST_F(CompileTablesTest, CompileWithCacheIsByteIdenticalToTriePath) {
   const core::Study plain = study_of(*world_);
   const core::DropIndex index = core::DropIndex::build(plain);
 
-  // A ledger that drops BGP, ROA and delegation days, alone and together.
+  // A ledger that drops each feed's days alone, and all five together.
   const std::vector<net::Date> dates = days();
   core::DataQuality quality;
   quality.mark_day_unavailable(core::Feed::kBgpUpdates, dates[4]);
   quality.mark_day_unavailable(core::Feed::kRoas, dates[5]);
   quality.mark_day_unavailable(core::Feed::kDelegations, dates[6]);
-  for (core::Feed f : {core::Feed::kBgpUpdates, core::Feed::kRoas,
-                       core::Feed::kDelegations}) {
+  for (core::Feed f : core::kAllFeeds) {
     quality.mark_day_unavailable(f, dates[7]);
   }
+  quality.mark_day_unavailable(core::Feed::kIrr, dates[8]);
+  quality.mark_day_unavailable(core::Feed::kDropFeed, dates[9]);
 
   const core::DataQuality* ledgers[] = {nullptr, &quality};
   for (const core::DataQuality* ledger : ledgers) {
     util::ThreadPool pool(4);
     core::SnapshotCache cache(world_->registry, world_->fleet, world_->roas,
                               world_->drop, &world_->irr);
-    core::Study trie = plain;
-    trie.quality = ledger;
-    trie.pool = &pool;
-    core::Study cached = trie;
+    core::Study cached = plain;
+    cached.quality = ledger;
+    cached.pool = &pool;
     cached.snapshots = &cache;
     for (net::Date d : dates) {
-      const auto want = svc::compile_snapshot(trie, index, d, 7);
+      const auto want = oracle::compile_snapshot(cached, index, d, 7);
       const auto got = svc::compile_snapshot(cached, index, d, 7);
       ASSERT_EQ(svc::serialize_snapshot(*got), svc::serialize_snapshot(*want))
           << d.to_string() << (ledger ? " with the ledger" : "");
     }
   }
-  // The ledger's days really degraded.
+  // The ledger's days really degraded, each by exactly its feeds.
+  core::SnapshotCache cache(world_->registry, world_->fleet, world_->roas,
+                            world_->drop, &world_->irr);
   core::Study s = plain;
   s.quality = &quality;
-  EXPECT_NE(svc::compile_snapshot(s, index, dates[7], 1)->degraded(), 0);
+  s.snapshots = &cache;
+  auto degraded = [&](net::Date d) {
+    return svc::compile_snapshot(s, index, d, 1)->degraded();
+  };
+  auto bit = [](core::Feed f) { return 1 << static_cast<int>(f); };
+  EXPECT_NE(degraded(dates[7]), 0);
+  EXPECT_EQ(degraded(dates[7]), (1 << core::kFeedCount) - 1);
+  EXPECT_EQ(degraded(dates[8]), bit(core::Feed::kIrr));
+  EXPECT_EQ(degraded(dates[9]), bit(core::Feed::kDropFeed));
 }
 
 TEST_F(CompileTablesTest, FirstQueriesRacingOnAFreshCacheAgree) {
@@ -169,7 +164,8 @@ TEST_F(CompileTablesTest, FirstQueriesRacingOnAFreshCacheAgree) {
   const net::IntervalSet allocated = world_->registry.allocated_space(d);
   const net::IntervalSet signed_all = world_->roas.signed_space(d);
   const auto validity =
-      trie_route_validity(*world_, d, rpki::TalSet::defaults());
+      oracle::route_validity(world_->fleet, world_->roas, d,
+                             rpki::TalSet::defaults());
   util::ThreadPool pool(4);
   for (int round = 0; round < 8; ++round) {
     core::SnapshotCache cache(world_->registry, world_->fleet, world_->roas,
@@ -239,14 +235,14 @@ TEST(CompileTablesPaperScale, CachedSetsAndCompilesMatchTheTriesOnFiveDays) {
   for (net::Date d : dates) expect_tables_match_tries(cache, *world, d);
 
   util::ThreadPool pool(4);
-  core::Study trie = study_of(*world);
-  const core::DropIndex index = core::DropIndex::build(trie);
-  trie.pool = &pool;
-  core::Study cached = trie;
+  core::Study cached = study_of(*world);
+  const core::DropIndex index = core::DropIndex::build(cached);
+  cached.pool = &pool;
   cached.snapshots = &cache;
   for (net::Date d : {dates.front(), dates.back()}) {
-    EXPECT_EQ(svc::serialize_snapshot(*svc::compile_snapshot(cached, index, d, 1)),
-              svc::serialize_snapshot(*svc::compile_snapshot(trie, index, d, 1)))
+    EXPECT_EQ(
+        svc::serialize_snapshot(*svc::compile_snapshot(cached, index, d, 1)),
+        svc::serialize_snapshot(*oracle::compile_snapshot(cached, index, d, 1)))
         << d.to_string();
   }
 }

@@ -14,6 +14,7 @@
 #include "core/engine.hpp"
 #include "core/report.hpp"
 #include "core/roa_status.hpp"
+#include "core/snapshot_cache.hpp"
 #include "drop/feed.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/generator.hpp"
@@ -27,25 +28,32 @@ class DegradationTest : public ::testing::Test {
   static void SetUpTestSuite() {
     config_ = new sim::ScenarioConfig(sim::ScenarioConfig::small());
     world_ = sim::generate(*config_).release();
+    cache_ = new core::SnapshotCache(world_->registry, world_->fleet,
+                                     world_->roas, world_->drop, &world_->irr);
   }
   static void TearDownTestSuite() {
+    delete cache_;
     delete world_;
     delete config_;
   }
   core::Study study() const {
-    return core::Study{world_->registry,    world_->fleet, world_->irr,
-                       world_->roas,        world_->drop,  world_->sbl,
-                       config_->window_begin, config_->window_end};
+    core::Study s{world_->registry,      world_->fleet, world_->irr,
+                  world_->roas,          world_->drop,  world_->sbl,
+                  config_->window_begin, config_->window_end};
+    s.snapshots = cache_;
+    return s;
   }
   std::vector<net::Date> sample_dates() const {
     return core::engine::sample_dates(study());
   }
   static sim::ScenarioConfig* config_;
   static sim::World* world_;
+  static core::SnapshotCache* cache_;
 };
 
 sim::ScenarioConfig* DegradationTest::config_ = nullptr;
 sim::World* DegradationTest::world_ = nullptr;
+core::SnapshotCache* DegradationTest::cache_ = nullptr;
 
 TEST_F(DegradationTest, RoaStatusSkipsAndCountsUnavailableDays) {
   const std::vector<net::Date> dates = sample_dates();

@@ -1,8 +1,11 @@
-// Concurrency layer: ThreadPool semantics, SnapshotCache sharing, and the
+// Concurrency layer: ThreadPool semantics, SnapshotCache sharing, the
 // engine determinism guard (1-thread vs N-thread reports must be
-// byte-identical). This file is the TSan gate for the parallel engine:
+// byte-identical), and the cache contract: a Study without a SnapshotCache,
+// or a cache without an IRR database, is an InvariantError. Labelled
+// `engine`; this file is the TSan gate for the parallel engine, and both CI
+// sanitizer jobs run it:
 //   cmake -B build-tsan -S . -DDROPLENS_SANITIZE=thread
-//   cmake --build build-tsan -j && ctest --test-dir build-tsan -R Engine
+//   cmake --build build-tsan -j && ctest --test-dir build-tsan -L engine
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,9 +15,14 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/drop_index.hpp"
+#include "core/engine.hpp"
 #include "core/report.hpp"
+#include "core/roa_status.hpp"
 #include "core/snapshot_cache.hpp"
 #include "sim/generator.hpp"
+#include "svc/snapshot.hpp"
+#include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace droplens {
@@ -128,7 +136,7 @@ sim::World* EngineWorldTest::world_ = nullptr;
 
 TEST_F(EngineWorldTest, SnapshotCacheSharesOneComputationPerDay) {
   core::SnapshotCache cache(world_->registry, world_->fleet, world_->roas,
-                            world_->drop);
+                            world_->drop, &world_->irr);
   net::Date d = config_->window_begin + 30;
   auto first = cache.routed_space(d);
   auto second = cache.routed_space(d);
@@ -148,7 +156,7 @@ TEST_F(EngineWorldTest, SnapshotCacheSharesOneComputationPerDay) {
 
 TEST_F(EngineWorldTest, SnapshotCacheCoversAllSubstrates) {
   core::SnapshotCache cache(world_->registry, world_->fleet, world_->roas,
-                            world_->drop);
+                            world_->drop, &world_->irr);
   net::Date d = config_->window_end;
   EXPECT_EQ(*cache.allocated_space(d), world_->registry.allocated_space(d));
   EXPECT_EQ(*cache.free_pool(rir::Rir::kLacnic, d),
@@ -160,7 +168,7 @@ TEST_F(EngineWorldTest, SnapshotCacheCoversAllSubstrates) {
 
 TEST_F(EngineWorldTest, SnapshotCacheIsSafeUnderConcurrentLookups) {
   core::SnapshotCache cache(world_->registry, world_->fleet, world_->roas,
-                            world_->drop);
+                            world_->drop, &world_->irr);
   util::ThreadPool pool(4);
   std::vector<uint64_t> sizes(64);
   pool.parallel_for(sizes.size(), [&](size_t i) {
@@ -172,6 +180,25 @@ TEST_F(EngineWorldTest, SnapshotCacheIsSafeUnderConcurrentLookups) {
   for (size_t i = 8; i < sizes.size(); ++i) {
     ASSERT_EQ(sizes[i], sizes[i % 8]);
   }
+}
+
+// Every per-day set comes from the cache: a Study that reaches the engine,
+// a compile or an analysis without one fails loudly instead of computing
+// from the substrates' tries.
+TEST_F(EngineWorldTest, StudyWithoutACacheThrowsInvariantError) {
+  const core::Study s = study();
+  ASSERT_EQ(s.snapshots, nullptr);
+  const net::Date d = config_->window_begin + 30;
+  const core::DropIndex index = core::DropIndex::build(s);
+  EXPECT_THROW(core::engine::routed_space(s, d), InvariantError);
+  EXPECT_THROW(svc::compile_snapshot(s, index, d, 1), InvariantError);
+  EXPECT_THROW(core::analyze_roa_status(s), InvariantError);
+}
+
+TEST_F(EngineWorldTest, SnapshotCacheRefusesANullIrr) {
+  EXPECT_THROW(core::SnapshotCache(world_->registry, world_->fleet,
+                                   world_->roas, world_->drop, nullptr),
+               InvariantError);
 }
 
 // The determinism guard: the full report (every analysis, CSV series

@@ -7,6 +7,7 @@
 #include "core/irr_whatif.hpp"
 #include "core/maxlength.hpp"
 #include "core/serial_hijackers.hpp"
+#include "core/snapshot_cache.hpp"
 #include "sim/generator.hpp"
 
 namespace droplens::core {
@@ -100,25 +101,31 @@ class ExtensionWorldTest : public ::testing::Test {
   static void SetUpTestSuite() {
     config_ = new sim::ScenarioConfig(sim::ScenarioConfig::small());
     world_ = sim::generate(*config_).release();
+    cache_ = new SnapshotCache(world_->registry, world_->fleet, world_->roas,
+                               world_->drop, &world_->irr);
     study_ = new Study{world_->registry,    world_->fleet, world_->irr,
                        world_->roas,        world_->drop,  world_->sbl,
                        config_->window_begin, config_->window_end};
+    study_->snapshots = cache_;
     index_ = new DropIndex(DropIndex::build(*study_));
   }
   static void TearDownTestSuite() {
     delete index_;
     delete study_;
+    delete cache_;
     delete world_;
     delete config_;
   }
   static sim::ScenarioConfig* config_;
   static sim::World* world_;
+  static SnapshotCache* cache_;
   static Study* study_;
   static DropIndex* index_;
 };
 
 sim::ScenarioConfig* ExtensionWorldTest::config_ = nullptr;
 sim::World* ExtensionWorldTest::world_ = nullptr;
+SnapshotCache* ExtensionWorldTest::cache_ = nullptr;
 Study* ExtensionWorldTest::study_ = nullptr;
 DropIndex* ExtensionWorldTest::index_ = nullptr;
 

@@ -32,6 +32,7 @@
 #include "core/data_quality.hpp"
 #include "core/drop_index.hpp"
 #include "core/report.hpp"
+#include "core/snapshot_cache.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -935,10 +936,13 @@ TEST(AdminPlane, HealthzFlipsTo503WhenStoreIsEmptied) {
   sim::ScenarioConfig config = sim::ScenarioConfig::small();
   std::unique_ptr<sim::World> world = sim::generate(config);
   util::ThreadPool pool(2);
+  core::SnapshotCache cache(world->registry, world->fleet, world->roas,
+                            world->drop, &world->irr);
   core::Study study{world->registry, world->fleet, world->irr,  world->roas,
                     world->drop,     world->sbl,   config.window_begin,
                     config.window_end};
   study.pool = &pool;
+  study.snapshots = &cache;
   core::DropIndex index = core::DropIndex::build(study);
 
   fs::path dir = fs::temp_directory_path() / "droplens_admin_healthz";
@@ -995,9 +999,12 @@ TEST(AdminPlane, HealthzFlipsTo503WhenStoreIsEmptied) {
 TEST(AdminPlane, EpollRequestProducesOneRootTrace) {
   sim::ScenarioConfig config = sim::ScenarioConfig::small();
   std::unique_ptr<sim::World> world = sim::generate(config);
+  core::SnapshotCache cache(world->registry, world->fleet, world->roas,
+                            world->drop, &world->irr);
   core::Study study{world->registry, world->fleet, world->irr,  world->roas,
                     world->drop,     world->sbl,   config.window_begin,
                     config.window_end};
+  study.snapshots = &cache;
   core::DropIndex index = core::DropIndex::build(study);
   net::Date d = config.window_begin + 30;
 
@@ -1056,9 +1063,12 @@ TEST(AdminPlane, EpollRequestProducesOneRootTrace) {
 TEST(AdminPlane, StoreMissInsideRequestIsAPipelineTrace) {
   sim::ScenarioConfig config = sim::ScenarioConfig::small();
   std::unique_ptr<sim::World> world = sim::generate(config);
+  core::SnapshotCache cache(world->registry, world->fleet, world->roas,
+                            world->drop, &world->irr);
   core::Study study{world->registry, world->fleet, world->irr,  world->roas,
                     world->drop,     world->sbl,   config.window_begin,
                     config.window_end};
+  study.snapshots = &cache;
   core::DropIndex index = core::DropIndex::build(study);
   net::Date d = config.window_begin + 30;
 

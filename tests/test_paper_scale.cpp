@@ -14,6 +14,7 @@
 #include "core/defenses.hpp"
 #include "core/maxlength.hpp"
 #include "core/serial_hijackers.hpp"
+#include "core/snapshot_cache.hpp"
 #include "core/visibility.hpp"
 #include "sim/generator.hpp"
 
@@ -25,25 +26,31 @@ class PaperScaleTest : public ::testing::Test {
   static void SetUpTestSuite() {
     config_ = new sim::ScenarioConfig();
     world_ = sim::generate(*config_).release();
+    cache_ = new SnapshotCache(world_->registry, world_->fleet, world_->roas,
+                               world_->drop, &world_->irr);
     study_ = new Study{world_->registry,    world_->fleet, world_->irr,
                        world_->roas,        world_->drop,  world_->sbl,
                        config_->window_begin, config_->window_end};
+    study_->snapshots = cache_;
     index_ = new DropIndex(DropIndex::build(*study_));
   }
   static void TearDownTestSuite() {
     delete index_;
     delete study_;
+    delete cache_;
     delete world_;
     delete config_;
   }
   static sim::ScenarioConfig* config_;
   static sim::World* world_;
+  static SnapshotCache* cache_;
   static Study* study_;
   static DropIndex* index_;
 };
 
 sim::ScenarioConfig* PaperScaleTest::config_ = nullptr;
 sim::World* PaperScaleTest::world_ = nullptr;
+SnapshotCache* PaperScaleTest::cache_ = nullptr;
 Study* PaperScaleTest::study_ = nullptr;
 DropIndex* PaperScaleTest::index_ = nullptr;
 

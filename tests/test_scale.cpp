@@ -34,6 +34,7 @@
 #include "svc/snapshot.hpp"
 #include "svc/snapshot_io.hpp"
 #include "svc/snapshot_store.hpp"
+#include "trie_oracle.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -70,11 +71,11 @@ struct ScaleFixture {
   sim::ScaleConfig config;
   std::string path;
   // Set only on a cold cache, when the world was generated and compiled —
-  // through the substrates' tries and again through a SnapshotCache's
-  // lifetime tables.
+  // through a SnapshotCache's lifetime tables, and again through the
+  // substrates' tries by the test oracle (trie_oracle.hpp).
   std::unique_ptr<sim::World> world;
   std::shared_ptr<const svc::Snapshot> compiled;
-  std::shared_ptr<const svc::Snapshot> compiled_cached;
+  std::shared_ptr<const svc::Snapshot> trie_compiled;
   // Always set: the mmap view over the fixture file.
   std::shared_ptr<const svc::Snapshot> loaded;
 
@@ -88,20 +89,19 @@ struct ScaleFixture {
                  "_" + std::to_string(fx->config.seed) + ".dls";
       if (!std::filesystem::exists(fx->path)) {
         fx->world = sim::generate_scale(fx->config);
+        core::SnapshotCache cache(fx->world->registry, fx->world->fleet,
+                                  fx->world->roas, fx->world->drop,
+                                  &fx->world->irr);
         core::Study study{fx->world->registry, fx->world->fleet,
                           fx->world->irr,      fx->world->roas,
                           fx->world->drop,     fx->world->sbl,
                           fx->world->config.window_begin,
                           fx->world->config.window_end};
+        study.snapshots = &cache;
         const core::DropIndex index = core::DropIndex::build(study);
         fx->compiled = svc::compile_snapshot(study, index, fx->config.day, 1);
-        core::SnapshotCache cache(fx->world->registry, fx->world->fleet,
-                                  fx->world->roas, fx->world->drop,
-                                  &fx->world->irr);
-        core::Study cached = study;
-        cached.snapshots = &cache;
-        fx->compiled_cached =
-            svc::compile_snapshot(cached, index, fx->config.day, 1);
+        fx->trie_compiled =
+            oracle::compile_snapshot(study, index, fx->config.day, 1);
         // save_snapshot writes tmp + rename, so concurrent cold runs in one
         // build tree each produce a complete file and the rename wins race-
         // free.
@@ -165,8 +165,9 @@ TEST(ScaleTier, DlsRoundTripIsByteIdentical) {
   EXPECT_EQ(svc::serialize_snapshot(*fx.loaded), file_bytes);
   if (fx.compiled) {
     EXPECT_EQ(svc::serialize_snapshot(*fx.compiled), file_bytes);
-    // The table scans and the ROV sweep compile the same bytes at scale.
-    EXPECT_EQ(svc::serialize_snapshot(*fx.compiled_cached), file_bytes);
+    // The trie compile gives the same bytes as the table scans and the ROV
+    // sweep at scale.
+    EXPECT_EQ(svc::serialize_snapshot(*fx.trie_compiled), file_bytes);
   }
 }
 

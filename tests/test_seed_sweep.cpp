@@ -5,6 +5,7 @@
 #include "core/case_study.hpp"
 #include "core/drop_index.hpp"
 #include "core/irr_analysis.hpp"
+#include "core/snapshot_cache.hpp"
 #include "core/visibility.hpp"
 #include "sim/generator.hpp"
 
@@ -17,9 +18,12 @@ TEST_P(SeedSweepTest, InvariantsHoldAcrossSeeds) {
   sim::ScenarioConfig config = sim::ScenarioConfig::small();
   config.seed = GetParam();
   std::unique_ptr<sim::World> world = sim::generate(config);
+  core::SnapshotCache cache(world->registry, world->fleet, world->roas,
+                            world->drop, &world->irr);
   core::Study study{world->registry, world->fleet,  world->irr,
                     world->roas,     world->drop,   world->sbl,
                     config.window_begin, config.window_end};
+  study.snapshots = &cache;
   core::DropIndex index = core::DropIndex::build(study);
 
   // Exact population counts.

@@ -92,22 +92,29 @@ class ServiceWorldTest : public ::testing::Test {
   static void SetUpTestSuite() {
     config_ = new sim::ScenarioConfig(sim::ScenarioConfig::small());
     world_ = sim::generate(*config_).release();
+    cache_ = new core::SnapshotCache(world_->registry, world_->fleet,
+                                     world_->roas, world_->drop, &world_->irr);
   }
   static void TearDownTestSuite() {
+    delete cache_;
     delete world_;
     delete config_;
   }
   core::Study study() const {
-    return core::Study{world_->registry,    world_->fleet, world_->irr,
-                       world_->roas,        world_->drop,  world_->sbl,
-                       config_->window_begin, config_->window_end};
+    core::Study s{world_->registry,      world_->fleet, world_->irr,
+                  world_->roas,          world_->drop,  world_->sbl,
+                  config_->window_begin, config_->window_end};
+    s.snapshots = cache_;
+    return s;
   }
   static sim::ScenarioConfig* config_;
   static sim::World* world_;
+  static core::SnapshotCache* cache_;
 };
 
 sim::ScenarioConfig* ServiceWorldTest::config_ = nullptr;
 sim::World* ServiceWorldTest::world_ = nullptr;
+core::SnapshotCache* ServiceWorldTest::cache_ = nullptr;
 
 // A broad sample of prefixes to interrogate: every DROP entry plus fixed
 // probes spread across the address space.

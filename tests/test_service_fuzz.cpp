@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/drop_index.hpp"
+#include "core/snapshot_cache.hpp"
 #include "sim/rng.hpp"
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
@@ -34,9 +35,12 @@ const net::Date kDate = net::Date(18000);
 
 std::shared_ptr<const svc::Snapshot> empty_snapshot() {
   static EmptyWorld* world = new EmptyWorld;
+  core::SnapshotCache cache(world->registry, world->fleet, world->roas,
+                            world->drop, &world->irr);
   core::Study study{world->registry, world->fleet, world->irr,
                     world->roas,     world->drop,  world->sbl,
                     kDate,           kDate + 1};
+  study.snapshots = &cache;
   core::DropIndex index = core::DropIndex::build(study);
   return svc::compile_snapshot(study, index, kDate, 1);
 }

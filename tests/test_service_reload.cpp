@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/drop_index.hpp"
+#include "core/snapshot_cache.hpp"
 #include "sim/generator.hpp"
 #include "svc/client.hpp"
 #include "svc/epoll_transport.hpp"
@@ -32,22 +33,29 @@ class ServiceReloadTest : public ::testing::Test {
   static void SetUpTestSuite() {
     config_ = new sim::ScenarioConfig(sim::ScenarioConfig::small());
     world_ = sim::generate(*config_).release();
+    cache_ = new core::SnapshotCache(world_->registry, world_->fleet,
+                                     world_->roas, world_->drop, &world_->irr);
   }
   static void TearDownTestSuite() {
+    delete cache_;
     delete world_;
     delete config_;
   }
   core::Study study() const {
-    return core::Study{world_->registry,    world_->fleet, world_->irr,
-                       world_->roas,        world_->drop,  world_->sbl,
-                       config_->window_begin, config_->window_end};
+    core::Study s{world_->registry,      world_->fleet, world_->irr,
+                  world_->roas,          world_->drop,  world_->sbl,
+                  config_->window_begin, config_->window_end};
+    s.snapshots = cache_;
+    return s;
   }
   static sim::ScenarioConfig* config_;
   static sim::World* world_;
+  static core::SnapshotCache* cache_;
 };
 
 sim::ScenarioConfig* ServiceReloadTest::config_ = nullptr;
 sim::World* ServiceReloadTest::world_ = nullptr;
+core::SnapshotCache* ServiceReloadTest::cache_ = nullptr;
 
 TEST_F(ServiceReloadTest, ResponsesAreSelfConsistentWhileSnapshotsSwap) {
   core::Study s = study();

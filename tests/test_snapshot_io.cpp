@@ -740,22 +740,29 @@ class PersistWorldTest : public ::testing::Test {
   static void SetUpTestSuite() {
     config_ = new sim::ScenarioConfig(sim::ScenarioConfig::small());
     world_ = sim::generate(*config_).release();
+    cache_ = new core::SnapshotCache(world_->registry, world_->fleet,
+                                     world_->roas, world_->drop, &world_->irr);
   }
   static void TearDownTestSuite() {
+    delete cache_;
     delete world_;
     delete config_;
   }
   core::Study study() const {
-    return core::Study{world_->registry,    world_->fleet, world_->irr,
-                       world_->roas,        world_->drop,  world_->sbl,
-                       config_->window_begin, config_->window_end};
+    core::Study s{world_->registry,      world_->fleet, world_->irr,
+                  world_->roas,          world_->drop,  world_->sbl,
+                  config_->window_begin, config_->window_end};
+    s.snapshots = cache_;
+    return s;
   }
   static sim::ScenarioConfig* config_;
   static sim::World* world_;
+  static core::SnapshotCache* cache_;
 };
 
 sim::ScenarioConfig* PersistWorldTest::config_ = nullptr;
 sim::World* PersistWorldTest::world_ = nullptr;
+core::SnapshotCache* PersistWorldTest::cache_ = nullptr;
 
 TEST_F(PersistWorldTest, RoundTripIsAnswerIdenticalAcross30Dates) {
   TempDir tmp;

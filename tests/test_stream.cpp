@@ -12,6 +12,7 @@
 
 #include "core/alarms.hpp"
 #include "core/drop_index.hpp"
+#include "core/snapshot_cache.hpp"
 #include "core/study.hpp"
 #include "sim/event_replayer.hpp"
 #include "sim/generator.hpp"
@@ -291,17 +292,22 @@ class StreamWorldTest : public ::testing::Test {
   static void SetUpTestSuite() {
     config_ = new sim::ScenarioConfig(sim::ScenarioConfig::small());
     world_ = sim::generate(*config_).release();
+    cache_ = new core::SnapshotCache(world_->registry, world_->fleet,
+                                     world_->roas, world_->drop, &world_->irr);
     replayer_ = new sim::EventReplayer(*world_);
   }
   static void TearDownTestSuite() {
     delete replayer_;
+    delete cache_;
     delete world_;
     delete config_;
   }
   core::Study study() const {
-    return core::Study{world_->registry,    world_->fleet, world_->irr,
-                       world_->roas,        world_->drop,  world_->sbl,
-                       config_->window_begin, config_->window_end};
+    core::Study s{world_->registry,      world_->fleet, world_->irr,
+                  world_->roas,          world_->drop,  world_->sbl,
+                  config_->window_begin, config_->window_end};
+    s.snapshots = cache_;
+    return s;
   }
   stream::AlarmMonitor::Config monitor_config() const {
     stream::AlarmMonitor::Config config;
@@ -312,11 +318,13 @@ class StreamWorldTest : public ::testing::Test {
   }
   static sim::ScenarioConfig* config_;
   static sim::World* world_;
+  static core::SnapshotCache* cache_;
   static sim::EventReplayer* replayer_;
 };
 
 sim::ScenarioConfig* StreamWorldTest::config_ = nullptr;
 sim::World* StreamWorldTest::world_ = nullptr;
+core::SnapshotCache* StreamWorldTest::cache_ = nullptr;
 sim::EventReplayer* StreamWorldTest::replayer_ = nullptr;
 
 TEST_F(StreamWorldTest, ReplayerEventsAreCanonicallyOrdered) {

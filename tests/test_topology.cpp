@@ -4,6 +4,7 @@
 
 #include "bgp/topology.hpp"
 #include "core/impact.hpp"
+#include "core/snapshot_cache.hpp"
 #include "sim/generator.hpp"
 
 namespace droplens::bgp {
@@ -131,9 +132,12 @@ TEST(Impact, GraphFromFleetDerivesEdgesAndTopMesh) {
 TEST(Impact, RovAdoptionCurveOnSmallWorld) {
   sim::ScenarioConfig config = sim::ScenarioConfig::small();
   std::unique_ptr<sim::World> world = sim::generate(config);
+  SnapshotCache cache(world->registry, world->fleet, world->roas, world->drop,
+                      &world->irr);
   Study study{world->registry, world->fleet,  world->irr,
               world->roas,     world->drop,   world->sbl,
               config.window_begin, config.window_end};
+  study.snapshots = &cache;
   DropIndex index = DropIndex::build(study);
   ImpactResult r =
       analyze_rov_adoption(study, index, {0.0, 0.5, 1.0});

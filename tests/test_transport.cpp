@@ -22,6 +22,7 @@
 
 #include "core/drop_index.hpp"
 #include "core/engine.hpp"
+#include "core/snapshot_cache.hpp"
 #include "irr/whois.hpp"
 #include "obs/metrics.hpp"
 #include "sim/generator.hpp"
@@ -592,22 +593,29 @@ class TransportWorld : public ::testing::Test {
   static void SetUpTestSuite() {
     config_ = new sim::ScenarioConfig(sim::ScenarioConfig::small());
     world_ = sim::generate(*config_).release();
+    cache_ = new core::SnapshotCache(world_->registry, world_->fleet,
+                                     world_->roas, world_->drop, &world_->irr);
   }
   static void TearDownTestSuite() {
+    delete cache_;
     delete world_;
     delete config_;
   }
   core::Study study() const {
-    return core::Study{world_->registry,    world_->fleet, world_->irr,
-                       world_->roas,        world_->drop,  world_->sbl,
-                       config_->window_begin, config_->window_end};
+    core::Study s{world_->registry,      world_->fleet, world_->irr,
+                  world_->roas,          world_->drop,  world_->sbl,
+                  config_->window_begin, config_->window_end};
+    s.snapshots = cache_;
+    return s;
   }
   static sim::ScenarioConfig* config_;
   static sim::World* world_;
+  static core::SnapshotCache* cache_;
 };
 
 sim::ScenarioConfig* TransportWorld::config_ = nullptr;
 sim::World* TransportWorld::world_ = nullptr;
+core::SnapshotCache* TransportWorld::cache_ = nullptr;
 
 TEST_F(TransportWorld, BinaryAnswersAreByteIdenticalAcrossTransports) {
   core::Study s = study();

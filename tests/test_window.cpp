@@ -31,6 +31,7 @@
 
 #include "core/data_quality.hpp"
 #include "core/drop_index.hpp"
+#include "core/snapshot_cache.hpp"
 #include "net/date.hpp"
 #include "obs/metrics.hpp"
 #include "sim/generator.hpp"
@@ -72,24 +73,31 @@ class WindowTest : public ::testing::Test {
   static void SetUpTestSuite() {
     config_ = new sim::ScenarioConfig(sim::ScenarioConfig::small());
     world_ = sim::generate(*config_).release();
+    cache_ = new core::SnapshotCache(world_->registry, world_->fleet,
+                                     world_->roas, world_->drop, &world_->irr);
   }
   static void TearDownTestSuite() {
+    delete cache_;
     delete world_;
     delete config_;
   }
   core::Study study() const {
-    return core::Study{world_->registry,    world_->fleet, world_->irr,
-                       world_->roas,        world_->drop,  world_->sbl,
-                       config_->window_begin, config_->window_end};
+    core::Study s{world_->registry,      world_->fleet, world_->irr,
+                  world_->roas,          world_->drop,  world_->sbl,
+                  config_->window_begin, config_->window_end};
+    s.snapshots = cache_;
+    return s;
   }
   net::Date date(int offset) const { return config_->window_begin + offset; }
 
   static sim::ScenarioConfig* config_;
   static sim::World* world_;
+  static core::SnapshotCache* cache_;
 };
 
 sim::ScenarioConfig* WindowTest::config_ = nullptr;
 sim::World* WindowTest::world_ = nullptr;
+core::SnapshotCache* WindowTest::cache_ = nullptr;
 
 // ---------------------------------------------------------------------------
 // 1. Contention: the per-date latch regression test.
