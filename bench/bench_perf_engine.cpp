@@ -53,10 +53,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     try {
-      if (std::strcmp(arg, "--small") == 0) {
-        // read by bench::Harness::make
-      } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-        (void)util::parse_number<uint64_t>(arg + 7);  // Harness::make too
+      if (bench::Harness::reads(arg)) {
+        // --small and --seed=, validated by bench::Harness::make
       } else if (std::strncmp(arg, "--threads=", 10) == 0) {
         threads = util::parse_number<uint32_t>(arg + 10, 1, 1024);
       } else if (std::strncmp(arg, "--reps=", 7) == 0) {

@@ -14,10 +14,14 @@
 //                    and loaded (mmap views) snapshot, same probe set
 //
 //   $ ./bench_perf_snapshot_io [--small] [--seed=N] [--iters=N] [--threads=N]
+//
+// --iters takes any count from 1, --threads 1..1024; any other value or
+// flag prints the usage line and exits 2 before the world is generated.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -26,6 +30,8 @@
 #include "net/prefix.hpp"
 #include "svc/snapshot.hpp"
 #include "svc/snapshot_io.hpp"
+#include "util/error.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace droplens;
@@ -52,17 +58,33 @@ std::vector<double> time_us(int iters, F&& body) {
   return out;
 }
 
+int usage() {
+  std::cerr << "usage: bench_perf_snapshot_io [--small] [--seed=N] "
+               "[--iters=N] [--threads=1..1024]\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   int iters = 20;
   unsigned threads = util::ThreadPool::default_thread_count();
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--iters=", 8) == 0) {
-      iters = std::atoi(argv[i] + 8);
-    }
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<unsigned>(std::stoul(argv[i] + 10));
+    const char* arg = argv[i];
+    try {
+      if (bench::Harness::reads(arg)) {
+        // --small and --seed=, validated by bench::Harness::make
+      } else if (std::strncmp(arg, "--iters=", 8) == 0) {
+        iters = util::parse_number<int32_t>(arg + 8, 1);
+      } else if (std::strncmp(arg, "--threads=", 10) == 0) {
+        threads = util::parse_number<uint32_t>(arg + 10, 1, 1024);
+      } else {
+        std::cerr << "unknown flag: " << arg << "\n";
+        return usage();
+      }
+    } catch (const ParseError& e) {
+      std::cerr << arg << ": " << e.what() << "\n";
+      return usage();
     }
   }
 

@@ -17,12 +17,17 @@
 //
 //   $ ./bench_perf_store [--small] [--seed=N] [--days=N] [--threads=N]
 //                        [--keyframe-every=K]
+//
+// --days and --keyframe-every take any count from 2, --threads 1..1024;
+// any other value or flag prints the usage line and exits 2 before the
+// world is generated.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +37,8 @@
 #include "svc/snapshot.hpp"
 #include "svc/snapshot_io.hpp"
 #include "svc/snapshot_store.hpp"
+#include "util/error.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace droplens;
@@ -58,6 +65,12 @@ double median(std::vector<double>& v) {
   return v.empty() ? 0.0 : v[v.size() / 2];
 }
 
+int usage() {
+  std::cerr << "usage: bench_perf_store [--small] [--seed=N] [--days=2..] "
+               "[--threads=1..1024] [--keyframe-every=2..]\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -65,18 +78,25 @@ int main(int argc, char** argv) {
   unsigned threads = util::ThreadPool::default_thread_count();
   int keyframe_every = 7;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--days=", 7) == 0) {
-      days = std::atoi(argv[i] + 7);
-    }
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<unsigned>(std::stoul(argv[i] + 10));
-    }
-    if (std::strncmp(argv[i], "--keyframe-every=", 17) == 0) {
-      keyframe_every = std::atoi(argv[i] + 17);
+    const char* arg = argv[i];
+    try {
+      if (bench::Harness::reads(arg)) {
+        // --small and --seed=, validated by bench::Harness::make
+      } else if (std::strncmp(arg, "--days=", 7) == 0) {
+        days = util::parse_number<int32_t>(arg + 7, 2);
+      } else if (std::strncmp(arg, "--threads=", 10) == 0) {
+        threads = util::parse_number<uint32_t>(arg + 10, 1, 1024);
+      } else if (std::strncmp(arg, "--keyframe-every=", 17) == 0) {
+        keyframe_every = util::parse_number<int32_t>(arg + 17, 2);
+      } else {
+        std::cerr << "unknown flag: " << arg << "\n";
+        return usage();
+      }
+    } catch (const ParseError& e) {
+      std::cerr << arg << ": " << e.what() << "\n";
+      return usage();
     }
   }
-  if (days < 2) days = 2;
-  if (keyframe_every < 2) keyframe_every = 2;
 
   bench::Harness h = bench::Harness::make(argc, argv);
   util::ThreadPool pool(threads);

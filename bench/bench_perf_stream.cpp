@@ -24,6 +24,9 @@
 // Histogram::quantile — resolution is the log2 bucket width.
 //
 //   $ ./bench_perf_stream [--small] [--seed=N] [--churn=N]
+//
+// --churn takes any count from 1; any other value or flag prints the usage
+// line and exits 2 before the world is generated.
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -35,6 +38,8 @@
 #include "obs/metrics.hpp"
 #include "sim/event_replayer.hpp"
 #include "stream/publisher.hpp"
+#include "util/error.hpp"
+#include "util/strings.hpp"
 #include "util/text_table.hpp"
 
 using namespace droplens;
@@ -64,13 +69,29 @@ std::string rate(double events, double secs) {
   return util::fixed(events / secs / 1e6, 2) + " M events/s";
 }
 
+int usage() {
+  std::cerr << "usage: bench_perf_stream [--small] [--seed=N] [--churn=N]\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   size_t churn = 2'000'000;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--churn=", 8) == 0) {
-      churn = std::stoull(argv[i] + 8);
+    const char* arg = argv[i];
+    try {
+      if (bench::Harness::reads(arg)) {
+        // --small and --seed=, validated by bench::Harness::make
+      } else if (std::strncmp(arg, "--churn=", 8) == 0) {
+        churn = util::parse_number<uint64_t>(arg + 8, 1);
+      } else {
+        std::cerr << "unknown flag: " << arg << "\n";
+        return usage();
+      }
+    } catch (const ParseError& e) {
+      std::cerr << arg << ": " << e.what() << "\n";
+      return usage();
     }
   }
 

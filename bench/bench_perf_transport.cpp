@@ -18,7 +18,11 @@
 // not snapshot lookups (bench_perf_service covers those).
 //
 //   $ ./bench_perf_transport [--target=N] [--event-threads=N] [--active=N]
-//                            [--seconds=S] [--churn]
+//                            [--seconds=S] [--no-churn]
+//
+// --target takes any count from 1, --event-threads and --active 1..1024,
+// --seconds any number from 0.001; any other value or flag prints the usage
+// line and exits 2 before the server or any thread starts.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/resource.h>
@@ -40,6 +44,8 @@
 #include "obs/flight_recorder.hpp"
 #include "svc/epoll_transport.hpp"
 #include "svc/transport.hpp"
+#include "util/error.hpp"
+#include "util/strings.hpp"
 #include "util/text_table.hpp"
 
 using namespace droplens;
@@ -90,24 +96,38 @@ struct LatencyRecorder {
   bool diverged = false;
 };
 
+int usage() {
+  std::cerr << "usage: bench_perf_transport [--target=N] "
+               "[--event-threads=1..1024] [--active=1..1024] [--seconds=S] "
+               "[--no-churn]\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--target=", 9) == 0) {
-      opt.target = std::stoul(argv[i] + 9);
+    const char* arg = argv[i];
+    try {
+      if (std::strncmp(arg, "--target=", 9) == 0) {
+        opt.target = util::parse_number<uint64_t>(arg + 9, 1);
+      } else if (std::strncmp(arg, "--event-threads=", 16) == 0) {
+        opt.event_threads = util::parse_number<uint32_t>(arg + 16, 1, 1024);
+      } else if (std::strncmp(arg, "--active=", 9) == 0) {
+        opt.active = util::parse_number<uint32_t>(arg + 9, 1, 1024);
+      } else if (std::strncmp(arg, "--seconds=", 10) == 0) {
+        opt.seconds = util::parse_number<double>(arg + 10, 0.001);
+      } else if (std::strcmp(arg, "--no-churn") == 0) {
+        opt.churn = false;
+      } else {
+        std::cerr << "unknown flag: " << arg << "\n";
+        return usage();
+      }
+    } catch (const ParseError& e) {
+      std::cerr << arg << ": " << e.what() << "\n";
+      return usage();
     }
-    if (std::strncmp(argv[i], "--event-threads=", 16) == 0) {
-      opt.event_threads = static_cast<unsigned>(std::stoul(argv[i] + 16));
-    }
-    if (std::strncmp(argv[i], "--active=", 9) == 0) {
-      opt.active = static_cast<unsigned>(std::stoul(argv[i] + 9));
-    }
-    if (std::strncmp(argv[i], "--seconds=", 10) == 0) {
-      opt.seconds = std::stod(argv[i] + 10);
-    }
-    if (std::strcmp(argv[i], "--no-churn") == 0) opt.churn = false;
   }
 
   // The ulimit guard: clamp to what the fd limit can actually hold, and say

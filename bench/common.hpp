@@ -25,6 +25,13 @@ struct Harness {
   std::unique_ptr<core::Study> study;          // reads `cache`
   core::DropIndex index;
 
+  /// True for the flags make() reads, so a binary's own flag loop can pass
+  /// them over and answer any other unknown argument with its usage line.
+  static bool reads(const char* arg) {
+    return std::strcmp(arg, "--small") == 0 ||
+           std::strncmp(arg, "--seed=", 7) == 0;
+  }
+
   /// Reads `--small` and `--seed=N` and leaves every other argument to the
   /// binary. A `--seed=` that is not a whole uint64 prints the usage line
   /// and exits 2 before the world is generated.

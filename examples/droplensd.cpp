@@ -17,13 +17,14 @@
 //                 [--log-level=debug|info|warn|error]
 //                 [--log-format=logfmt|json]
 //
-// An unknown flag, or a value that is not a whole number in its type's
-// range (ports 0-65535; --follow= takes any non-negative number), prints
-// the usage line and exits 2 before the world is generated.
+// An unknown flag (the retired --transport= and --metrics-port= too), or a
+// value that is not a whole number in its type's range (ports 0-65535;
+// --follow= takes any non-negative number), prints the usage line and
+// exits 2 before the world is generated.
 //
 // Then, from another terminal:  printf '!gAS64500\n' | nc 127.0.0.1 4343
-// With --admin-port=P (or its old spelling --metrics-port=P), the admin
-// plane serves the operator's view over plain HTTP:
+// With --admin-port=P the admin plane serves the operator's view over
+// plain HTTP. It is the one place the daemon's counters are shown:
 //   curl http://127.0.0.1:P/metrics    Prometheus exposition (+ exemplars)
 //   curl http://127.0.0.1:P/healthz    200 ok / 503 with per-check reasons
 //   curl http://127.0.0.1:P/statusz    build, uptime, fds, store + stream
@@ -34,11 +35,12 @@
 // Every front runs on the hardened epoll transport (a fixed pool of event
 // threads; see svc/epoll_transport.hpp). --max-conns caps concurrent
 // connections per listener (excess accepts get a typed overload reply),
-// --idle-timeout-ms bounds quiet connections (slowloris drips included),
-// and --max-inflight turns on load shedding: bulk ops shed first, queries
-// next, metrics/admin last, so observability survives overload. All three
-// fronts (binary, whois, admin HTTP) share the same limits; every limit,
-// shed, and disconnect reason is a droplens_transport_* metric.
+// --idle-timeout-ms bounds quiet connections and times a partial message
+// from its first byte (so slowloris drips are cut too), and --max-inflight
+// turns on load shedding: bulk ops shed first, queries next, the admin
+// plane last, so observability survives overload. All three fronts
+// (binary, whois, admin HTTP) share the same limits; every limit, shed,
+// and disconnect reason is a droplens_transport_* metric.
 //
 // With --follow the daemon goes live: a follower thread lowers the world
 // into the canonical event stream (sim::EventReplayer), fast-forwards the
@@ -114,8 +116,8 @@ int main(int argc, char** argv) {
   uint64_t seed = 0;
   uint16_t port = 4242;
   uint16_t whois_port = 4343;
-  bool metrics = false;
-  uint16_t metrics_port = 0;
+  bool admin = false;
+  uint16_t admin_port = 0;
   unsigned threads = util::ThreadPool::default_thread_count();
   int32_t date_offset = 60;
   std::string snapshot_dir;
@@ -138,12 +140,9 @@ int main(int argc, char** argv) {
         port = util::parse_number<uint16_t>(arg + 7);
       } else if (std::strncmp(arg, "--whois-port=", 13) == 0) {
         whois_port = util::parse_number<uint16_t>(arg + 13);
-      } else if (std::strncmp(arg, "--metrics-port=", 15) == 0) {
-        metrics = true;
-        metrics_port = util::parse_number<uint16_t>(arg + 15);
       } else if (std::strncmp(arg, "--admin-port=", 13) == 0) {
-        metrics = true;
-        metrics_port = util::parse_number<uint16_t>(arg + 13);
+        admin = true;
+        admin_port = util::parse_number<uint16_t>(arg + 13);
       } else if (std::strncmp(arg, "--log-level=", 12) == 0) {
         if (auto level = obs::parse_log_level(arg + 12)) {
           log_options.level = *level;
@@ -387,10 +386,10 @@ int main(int argc, char** argv) {
       return body;
     });
   }
-  std::unique_ptr<svc::EpollServer> metrics_tcp;
-  if (metrics) {
-    metrics_tcp = std::make_unique<svc::EpollServer>(
-        admin_service, front_options("admin", metrics_port));
+  std::unique_ptr<svc::EpollServer> admin_tcp;
+  if (admin) {
+    admin_tcp = std::make_unique<svc::EpollServer>(
+        admin_service, front_options("admin", admin_port));
   }
 
   std::signal(SIGHUP, on_sighup);
@@ -409,10 +408,10 @@ int main(int argc, char** argv) {
             {{"max_conns", std::to_string(max_conns)},
              {"idle_timeout_ms", std::to_string(idle_timeout_ms)},
              {"max_inflight", std::to_string(max_inflight)}});
-  if (metrics_tcp) {
+  if (admin_tcp) {
     DLOG_INFO("admin plane up",
               {{"url", "http://127.0.0.1:" + std::to_string(
-                           metrics_tcp->port()) + "/"}});
+                           admin_tcp->port()) + "/"}});
   }
   DLOG_INFO("SIGHUP rescans the snapshot directory; SIGINT stops");
 
@@ -436,7 +435,7 @@ int main(int argc, char** argv) {
   if (follower.joinable()) follower.join();
   query_tcp.stop();
   whois_tcp.stop();
-  if (metrics_tcp) metrics_tcp->stop();
+  if (admin_tcp) admin_tcp->stop();
   svc::ServerStats stats = server.stats();
   DLOG_INFO("served", {{"frames", std::to_string(stats.requests)},
                        {"lookups", std::to_string(stats.queries)},

@@ -13,7 +13,12 @@ WhoisServer::WhoisServer(const Database& db, net::Date today,
 
 std::string WhoisServer::frame(const std::string& payload) const {
   if (payload.empty()) return "D\n";
-  return "A" + std::to_string(payload.size()) + "\n" + payload + "C\n";
+  std::string out = "A";
+  out += std::to_string(payload.size());
+  out += '\n';
+  out += payload;
+  out += "C\n";
+  return out;
 }
 
 std::string WhoisServer::handle(std::string_view query) const {

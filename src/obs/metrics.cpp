@@ -133,6 +133,12 @@ void install(Registry* r) { g_registry.store(r, std::memory_order_release); }
 
 Registry* installed() { return g_registry.load(std::memory_order_acquire); }
 
+Registry& installed_or(std::unique_ptr<Registry>& own) {
+  if (Registry* r = installed()) return *r;
+  if (!own) own = std::make_unique<Registry>();
+  return *own;
+}
+
 Counter counter(const std::string& name, const Labels& labels,
                 const std::string& help) {
   Registry* r = installed();

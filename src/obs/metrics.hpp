@@ -15,7 +15,9 @@
 //              parsers) bind instruments from it at construction/use time.
 //   no-op      nothing installed. obs::counter(...) et al. return empty
 //              handles whose record calls are one null-pointer test —
-//              unobserved code costs nothing measurable.
+//              unobserved code costs nothing measurable. Objects whose
+//              stats() read their own cells (svc::Server, the epoll
+//              transport) bind a private registry instead (installed_or).
 //
 // Instruments bind at acquisition time: install the registry before the
 // subsystems you want instrumented are constructed. Observability is
@@ -250,6 +252,12 @@ class Registry {
 void install(Registry* r);
 /// The installed registry, or nullptr (the no-op mode).
 Registry* installed();
+
+/// The installed registry, else `own` (created on first use). For objects
+/// whose counters must count with or without an installed registry:
+/// svc::Server and the transport counters read their stats back from the
+/// cells they bind here.
+Registry& installed_or(std::unique_ptr<Registry>& own);
 
 // Ambient acquisition: bind from the installed registry, or return a no-op
 // handle when none is installed. This is what subsystems call.

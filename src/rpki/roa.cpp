@@ -18,10 +18,14 @@ Roa::Roa(net::Prefix prefix_in, net::Asn asn_in, Tal tal_in, int max_length_in)
 std::string Roa::to_string() const {
   std::string out = prefix.to_string();
   if (max_length != prefix.length()) {
-    out += "-" + std::to_string(max_length);
+    out += '-';
+    out += std::to_string(max_length);
   }
-  out += " => " + asn.to_string() + " [" + std::string(rpki::to_string(tal)) +
-         "]";
+  out += " => ";
+  out += asn.to_string();
+  out += " [";
+  out += rpki::to_string(tal);
+  out += ']';
   return out;
 }
 

@@ -364,7 +364,7 @@ bool EpollServer::drain_messages(Worker& w, Conn& c, uint64_t now) {
       if (c.in.empty()) {
         c.partial_since = 0;
       } else if (c.partial_since == 0) {
-        c.partial_since = now;  // read deadline starts at the first byte
+        c.partial_since = now;  // a partial message is timed from here
       }
       return true;
     }
@@ -535,14 +535,11 @@ void EpollServer::rearm_timer(Worker& w, Conn& c) {
   uint64_t at = 0;
   if (c.closing_after_flush) {
     at = c.write_pending_since + kFlushGraceMs;
-  } else {
-    if (options_.idle_timeout_ms != 0) {
-      at = c.last_activity + options_.idle_timeout_ms;
-    }
-    if (options_.read_deadline_ms != 0 && c.partial_since != 0) {
-      const uint64_t d = c.partial_since + options_.read_deadline_ms;
-      if (at == 0 || d < at) at = d;
-    }
+  } else if (options_.idle_timeout_ms != 0) {
+    // A partial message started no later than the last activity, so its
+    // first byte sets the earlier of the two deadlines.
+    at = (c.partial_since != 0 ? c.partial_since : c.last_activity) +
+         options_.idle_timeout_ms;
   }
   if (at == 0) {
     w.wheel->cancel(static_cast<uint64_t>(c.fd));
@@ -565,20 +562,18 @@ void EpollServer::expire_timers(Worker& w, uint64_t now) {
       continue;
     }
     // Deadlines move as the connection makes progress; fire only the ones
-    // still due, re-arm the rest.
-    if (options_.read_deadline_ms != 0 && c.partial_since != 0 &&
-        now >= c.partial_since + options_.read_deadline_ms) {
+    // still due, re-arm the rest. A partial message is timed from its first
+    // byte, so a drip that keeps the connection active is still cut. Idle
+    // fires even with an undrained queue pending, so a connection making
+    // no progress in either direction is always bounded.
+    const uint64_t idle = options_.idle_timeout_ms;
+    if (idle != 0 && c.partial_since != 0 && now >= c.partial_since + idle) {
       finish_trace(c, "timeout");
       close_after_flush(w, c, service_.timeout_response(),
                         DisconnectReason::kReadDeadline, now);
       continue;
     }
-    // Idle is a pure inactivity backstop: it fires even with a partial
-    // message or an undrained queue pending, so a connection making no
-    // progress in either direction is always bounded — with or without the
-    // sharper read deadline configured.
-    if (options_.idle_timeout_ms != 0 &&
-        now >= c.last_activity + options_.idle_timeout_ms) {
+    if (idle != 0 && now >= c.last_activity + idle) {
       finish_trace(c, "timeout");
       close_after_flush(w, c, service_.timeout_response(),
                         DisconnectReason::kIdleTimeout, now);

@@ -14,11 +14,11 @@
 //   connection cap    accepts beyond max_conns get the service's typed
 //                     overload reply (best effort) and an immediate close —
 //                     never an unbounded fd, never a thread
-//   deadlines         a timer wheel per thread drives idle timeouts (quiet
-//                     connections, stalled readers included) and read
-//                     deadlines (a partial message must complete — kills
-//                     slowloris against the binary, whois, and HTTP
-//                     frontends alike)
+//   deadlines         a timer wheel per thread drives the idle timeout:
+//                     quiet connections and stalled readers are closed,
+//                     and a partial message must complete within the same
+//                     bound from its first byte (kills slowloris against
+//                     the binary, whois, and HTTP frontends alike)
 //   backpressure      responses are written straight from the serve()
 //                     buffer; whatever the kernel won't take queues in a
 //                     bounded per-connection list, and a reader slow enough
@@ -27,9 +27,9 @@
 //   load shedding     in-flight work (messages being served + responses not
 //                     yet flushed) crossing max_inflight flips the server to
 //                     degraded service: bulk ops (range) shed first at M/2,
-//                     normal queries at M, control ops (metrics) last
-//                     at 2*M — so the observability plane stays up while the
-//                     server defends itself
+//                     normal queries at M, control messages (the admin
+//                     plane) last at 2*M — so the observability plane stays
+//                     up while the server defends itself
 //
 // Every limit, shed decision, timeout, and disconnect reason is a
 // TransportCounters instrument, so /metrics shows the defense in action.
@@ -41,9 +41,9 @@
 //            │   complete → classify        │
 //            │     shed? → typed reply      │
 //            │     else  → serve → write    │
-//            │   partial  → arm read ddl    │
+//            │   partial  → arm deadline    │
 //            └── writable → flush queue ────┘
-//   close paths: peer EOF/error · malformed head · idle/read deadline
+//   close paths: peer EOF/error · malformed head · idle/partial timeout
 //                · write-queue overflow · shed (no typed reply) · stop()
 #pragma once
 

@@ -346,18 +346,6 @@ RangeResponse decode_range_response(std::string_view payload) {
   return response;
 }
 
-std::string encode_metrics_request() {
-  return frame(FrameType::kMetricsRequest, {});
-}
-
-std::string encode_metrics_response(std::string_view text) {
-  return frame(FrameType::kMetricsResponse, text.substr(0, kMaxPayload));
-}
-
-std::string decode_metrics_response(std::string_view payload) {
-  return std::string(payload);
-}
-
 std::string encode_error(std::string_view message) {
   return frame(FrameType::kError, message.substr(0, kMaxErrorMessage));
 }

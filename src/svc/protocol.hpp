@@ -9,8 +9,6 @@
 //                             count:u16 count * answer           (8 B each)
 //   answer  := status:u8 fields:u8 flags:u8 categories:u8 bucket:u8
 //              rov:u8 rir_status:u8 rir:u8
-//   metrics request payload  := (empty)
-//   metrics response payload := Prometheus text exposition bytes
 //   error payload          := message bytes (<= 256)
 //   range request payload  := date_begin:u32 date_end:u32 network:u32
 //                             plen:u8 fields:u8                  (14 B)
@@ -62,19 +60,18 @@ inline constexpr size_t kMaxBatch = 4096;
 /// batches (a paper-scale window is ~1000 days, well inside).
 inline constexpr size_t kMaxRangeDays = 4096;
 
-/// Frame types 3 and 4 (a retired stats op) stay unassigned: a client that
-/// sends either gets kError back ("unexpected frame type from client"),
-/// like any other type the server does not accept.
+/// Frame types 3 and 4 (a retired stats op) and 6 and 7 (a retired metrics
+/// op; the admin plane's /metrics serves that page) stay unassigned: a
+/// client that sends any of them gets kError back ("unexpected frame type
+/// from client"), like any other type the server does not accept.
 enum class FrameType : uint8_t {
   kQueryRequest = 1,
   kQueryResponse = 2,
   kError = 5,
   // Appended numbering: old clients never send these and old frames decode
-  // exactly as before, so the protocol stays byte-compatible.
-  kMetricsRequest = 6,
-  kMetricsResponse = 7,
-  // Appended numbering, same compatibility rule: the range op asks one
-  // prefix across a date window and gets RLE-compressed transitions.
+  // exactly as before, so the protocol stays byte-compatible. The range op
+  // asks one prefix across a date window and gets RLE-compressed
+  // transitions.
   kRangeRequest = 8,
   kRangeResponse = 9,
   // Live-follow ops (same compatibility rule). The payloads are defined by
@@ -169,13 +166,6 @@ RangeQuery decode_range_request(std::string_view payload);
 std::string encode_range_response(const RangeResponse& response);
 /// Validates the runs' contiguity/coverage contract. Throws ParseError.
 RangeResponse decode_range_response(std::string_view payload);
-
-/// The read-only metrics op: the response payload is the server registry's
-/// Prometheus text page (truncated at kMaxPayload, which a sane registry
-/// never approaches).
-std::string encode_metrics_request();
-std::string encode_metrics_response(std::string_view text);
-std::string decode_metrics_response(std::string_view payload);
 
 std::string encode_error(std::string_view message);
 std::string decode_error(std::string_view payload);

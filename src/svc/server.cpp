@@ -4,7 +4,6 @@
 #include <map>
 #include <vector>
 
-#include "obs/prometheus.hpp"
 #include "svc/snapshot_io.hpp"
 #include "svc/snapshot_store.hpp"
 #include "util/error.hpp"
@@ -44,12 +43,9 @@ void answer_chunk(const Snapshot& s, const std::vector<Query>& queries,
 }  // namespace
 
 Server::Server(SnapshotStore& store, util::ThreadPool* pool)
-    : store_(store), pool_(pool) {
-  registry_ = obs::installed();
-  if (!registry_) {
-    own_registry_ = std::make_unique<obs::Registry>();
-    registry_ = own_registry_.get();
-  }
+    : store_(store),
+      pool_(pool),
+      registry_(&obs::installed_or(own_registry_)) {
   requests_ = registry_->counter("droplens_svc_requests_total", {},
                                  "Frames handled, any type");
   queries_ = registry_->counter("droplens_svc_queries_total", {},
@@ -107,8 +103,6 @@ MessageClass Server::classify(std::string_view message) const {
   switch (static_cast<FrameType>(static_cast<uint8_t>(message[3]))) {
     case FrameType::kRangeRequest:
       return MessageClass::kBulk;  // most work per frame — shed first
-    case FrameType::kMetricsRequest:
-      return MessageClass::kControl;  // observability — shed last
     default:
       return MessageClass::kNormal;
   }
@@ -142,12 +136,6 @@ std::string Server::serve(std::string_view frame, obs::SpanContext& ctx) {
     switch (header.type) {
       case FrameType::kQueryRequest:
         response = handle_queries(frame_payload(frame));
-        break;
-      case FrameType::kMetricsRequest:
-        if (!frame_payload(frame).empty()) {
-          throw ParseError("svc: metrics request carries a payload");
-        }
-        response = encode_metrics_response(obs::render_prometheus(*registry_));
         break;
       case FrameType::kRangeRequest:
         response = handle_range(frame_payload(frame));

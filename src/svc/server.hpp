@@ -19,8 +19,7 @@
 // malformed frames, per-field lookups, reloads, unavailable dates) and a
 // log2 latency histogram are registry instruments — bound from the
 // process-installed obs::Registry when one exists (so droplensd's /metrics
-// page includes them) and from a private registry otherwise. The metrics
-// op renders the whole backing registry as Prometheus text.
+// page, the admin plane, shows them) and from a private registry otherwise.
 #pragma once
 
 #include <array>
@@ -95,8 +94,7 @@ class Server : public Service {
   ServerStats stats() const;
 
   /// The registry backing this server's instruments: the process-installed
-  /// obs registry at construction time, else a private one. The metrics
-  /// protocol op renders it.
+  /// obs registry at construction time, else a private one.
   obs::Registry& metrics_registry() const { return *registry_; }
 
   // Service interface ------------------------------------------------------
@@ -108,9 +106,8 @@ class Server : public Service {
   std::string serve(std::string_view frame, obs::SpanContext& ctx) override;
   std::string malformed_response(std::string_view head) override;
   /// Shed priority by frame type: range requests are the most work per
-  /// frame (kBulk, shed first), query batches are kNormal, and the metrics
-  /// op is kControl (shed last) so operators can watch an overloaded
-  /// server defend itself.
+  /// frame (kBulk, shed first); everything else is kNormal. The control
+  /// class belongs to the admin plane, a listener of its own.
   MessageClass classify(std::string_view message) const override;
   /// Typed kError frame: "overloaded: connection limit" at the cap (empty
   /// message), "overloaded: request shed" for a shed frame.

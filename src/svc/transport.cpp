@@ -67,33 +67,32 @@ TraceBinding::TraceBinding(const std::string& name) {
 
 TransportCounters::TransportCounters(const char* transport,
                                      const std::string& name) {
-  accepted_c_ = obs::counter("droplens_transport_accepted_total",
-                             with_listener(transport, name),
-                             "Connections accepted over the lifetime");
-  overload_rejected_c_ =
-      obs::counter("droplens_transport_overload_rejects_total",
-                   with_listener(transport, name),
-                   "Accepts refused at the connection cap");
-  accept_errors_c_ = obs::counter("droplens_transport_accept_errors_total",
-                                  with_listener(transport, name),
-                                  "Transient accept() failures survived");
-  open_g_ = obs::gauge("droplens_transport_open_connections",
-                       with_listener(transport, name),
-                       "Currently open connections");
-  buffered_bytes_g_ = obs::gauge("droplens_transport_buffered_bytes",
-                                 with_listener(transport, name),
-                                 "Response bytes queued for slow readers");
-  inflight_g_ = obs::gauge(
-      "droplens_transport_inflight", with_listener(transport, name),
-      "Messages being served plus responses not yet flushed");
+  obs::Registry& registry = obs::installed_or(own_registry_);
+  const obs::Labels labels = with_listener(transport, name);
+  accepted_ = registry.counter("droplens_transport_accepted_total", labels,
+                               "Connections accepted over the lifetime");
+  overload_rejected_ =
+      registry.counter("droplens_transport_overload_rejects_total", labels,
+                       "Accepts refused at the connection cap");
+  accept_errors_ =
+      registry.counter("droplens_transport_accept_errors_total", labels,
+                       "Transient accept() failures survived");
+  open_g_ = registry.gauge("droplens_transport_open_connections", labels,
+                           "Currently open connections");
+  buffered_bytes_g_ =
+      registry.gauge("droplens_transport_buffered_bytes", labels,
+                     "Response bytes queued for slow readers");
+  inflight_g_ =
+      registry.gauge("droplens_transport_inflight", labels,
+                     "Messages being served plus responses not yet flushed");
   for (size_t i = 0; i < kMessageClassCount; ++i) {
-    shed_c_[i] = obs::counter(
+    shed_[i] = registry.counter(
         "droplens_transport_shed_total",
         with_listener(transport, name, {{"class", kClassNames[i]}}),
         "Messages refused under overload, by priority class");
   }
   for (size_t i = 0; i < kDisconnectReasonCount; ++i) {
-    disconnects_c_[i] = obs::counter(
+    disconnects_[i] = registry.counter(
         "droplens_transport_disconnects_total",
         with_listener(transport, name, {{"reason", kReasonNames[i]}}),
         "Connections closed, by reason");
@@ -106,12 +105,10 @@ bool TransportCounters::try_accept(size_t max_conns) {
   uint64_t now_open = open_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (max_conns != 0 && now_open > max_conns) {
     open_.fetch_sub(1, std::memory_order_relaxed);
-    overload_rejected_.fetch_add(1, std::memory_order_relaxed);
-    overload_rejected_c_.inc();
+    overload_rejected_.inc();
     return false;
   }
-  accepted_.fetch_add(1, std::memory_order_relaxed);
-  accepted_c_.inc();
+  accepted_.inc();
   open_g_.set(static_cast<int64_t>(now_open));
   return true;
 }
@@ -119,21 +116,20 @@ bool TransportCounters::try_accept(size_t max_conns) {
 void TransportCounters::on_close(DisconnectReason r) {
   uint64_t now_open = open_.fetch_sub(1, std::memory_order_relaxed) - 1;
   open_g_.set(static_cast<int64_t>(now_open));
-  disconnects_[static_cast<size_t>(r)].fetch_add(1, std::memory_order_relaxed);
-  disconnects_c_[static_cast<size_t>(r)].inc();
+  disconnects_[static_cast<size_t>(r)].inc();
 }
 
 TransportStats TransportCounters::snapshot() const {
   TransportStats s;
-  s.accepted = accepted_.load(std::memory_order_relaxed);
-  s.overload_rejected = overload_rejected_.load(std::memory_order_relaxed);
-  s.accept_errors = accept_errors_.load(std::memory_order_relaxed);
+  s.accepted = accepted_.value();
+  s.overload_rejected = overload_rejected_.value();
+  s.accept_errors = accept_errors_.value();
   s.open = open_.load(std::memory_order_relaxed);
   for (size_t i = 0; i < kMessageClassCount; ++i) {
-    s.shed[i] = shed_[i].load(std::memory_order_relaxed);
+    s.shed[i] = shed_[i].value();
   }
   for (size_t i = 0; i < kDisconnectReasonCount; ++i) {
-    s.disconnects[i] = disconnects_[i].load(std::memory_order_relaxed);
+    s.disconnects[i] = disconnects_[i].value();
   }
   return s;
 }

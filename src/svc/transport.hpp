@@ -4,7 +4,7 @@
 // byte stream (length-prefixed frames for the binary protocol, newline-
 // terminated lines for whois, head+body requests for HTTP) and how to serve
 // one message. Transports move bytes and know nothing else — so the binary
-// query server, the whois front, and the metrics HTTP front all ride the
+// query server, the whois front, and the admin HTTP front all ride the
 // same server core:
 //
 //   LoopbackConnection   in-process, deterministic; what tests and the
@@ -19,15 +19,16 @@
 //
 // Robustness semantics are part of the transport contract, not an add-on:
 // ListenerOptions (backlog, port), a connection cap with a typed overload
-// reply, idle/read deadlines with a typed timeout reply, and a
-// TransportCounters block that makes every limit, shed decision, and
-// disconnect reason visible as obs::Registry instruments.
+// reply, an idle timeout (which also bounds a partial message) with a typed
+// timeout reply, and a TransportCounters block that makes every limit, shed
+// decision, and disconnect reason visible as obs::Registry instruments.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -38,8 +39,8 @@ namespace droplens::svc {
 
 /// Priority class of one complete message, as reported by the Service.
 /// Under overload the transport sheds kBulk first, kNormal next, and
-/// kControl last — so the metrics op that lets an operator watch the
-/// server defend itself is the last thing to go dark.
+/// kControl last — so the admin plane (/metrics), where an operator
+/// watches the server defend itself, is the last thing to go dark.
 enum class MessageClass : uint8_t { kBulk = 0, kNormal = 1, kControl = 2 };
 inline constexpr size_t kMessageClassCount = 3;
 
@@ -49,7 +50,7 @@ enum class DisconnectReason : uint8_t {
   kPeerClosed = 0,   // orderly EOF or reset from the peer
   kMalformed,        // Service::message_size threw (unresynchronizable head)
   kIdleTimeout,      // no bytes and no pending work for idle_timeout_ms
-  kReadDeadline,     // a partial message outlived read_deadline_ms
+  kReadDeadline,     // a partial message outlived idle_timeout_ms
   kWriteOverflow,    // per-connection write queue crossed its watermark
   kShed,             // load shedding closed it (no typed reply available)
   kServerStop,       // stop() tore it down
@@ -149,14 +150,11 @@ struct TransportOptions {
   /// 0 = unlimited.
   size_t max_conns = 0;
   /// Close a connection with no activity — no bytes arriving, no write
-  /// progress — after this long. A pure inactivity backstop: it bounds even
-  /// a stalled partial message or an undrained response queue when the
-  /// sharper read deadline is not configured. 0 = never.
+  /// progress — after this long, with a typed timeout reply. The same
+  /// bound runs from a partial message's first byte: a message must
+  /// complete within it however steadily its bytes drip (the slowloris
+  /// defence). 0 = never.
   uint32_t idle_timeout_ms = 0;
-  /// A partial message at the head of the buffer must complete within this
-  /// deadline or the connection is closed with a typed timeout reply —
-  /// the anti-slowloris knob. 0 = never.
-  uint32_t read_deadline_ms = 0;
   /// Per-connection write-queue watermark in bytes; a reader slow enough to
   /// queue more than this is disconnected instead of ballooning memory.
   size_t max_write_buffer = 4u << 20;
@@ -184,9 +182,12 @@ struct TransportStats {
   std::array<uint64_t, kDisconnectReasonCount> disconnects{};
 };
 
-/// Internal: the instrument block the transport records into. Plain
-/// atomics back the stats() API; obs handles (bound from the installed
-/// registry, no-ops otherwise) put the same numbers on /metrics.
+/// Internal: the instrument block the transport records into. Each count
+/// is one registry cell, bound from the installed registry (else a private
+/// one), so stats() and /metrics read the same numbers. A series is keyed
+/// by name and labels: two same-named listeners under one installed
+/// registry share their series, and each one's stats() reports the sum.
+/// `open` alone is per listener: it is the connection cap's slot count.
 class TransportCounters {
  public:
   TransportCounters(const char* transport, const std::string& name);
@@ -195,35 +196,25 @@ class TransportCounters {
   /// Returns false — and counts an overload rejection — when full.
   bool try_accept(size_t max_conns);
   void on_close(DisconnectReason r);
-  void on_accept_error() {
-    accept_errors_.fetch_add(1, std::memory_order_relaxed);
-    accept_errors_c_.inc();
-  }
-  void on_shed(MessageClass c) {
-    shed_[static_cast<size_t>(c)].fetch_add(1, std::memory_order_relaxed);
-    shed_c_[static_cast<size_t>(c)].inc();
-  }
+  void on_accept_error() { accept_errors_.inc(); }
+  void on_shed(MessageClass c) { shed_[static_cast<size_t>(c)].inc(); }
   void add_buffered(int64_t delta) { buffered_bytes_g_.add(delta); }
   void set_inflight(int64_t v) { inflight_g_.set(v); }
 
   TransportStats snapshot() const;
 
  private:
-  std::atomic<uint64_t> accepted_{0};
-  std::atomic<uint64_t> overload_rejected_{0};
-  std::atomic<uint64_t> accept_errors_{0};
   std::atomic<uint64_t> open_{0};
-  std::array<std::atomic<uint64_t>, kMessageClassCount> shed_{};
-  std::array<std::atomic<uint64_t>, kDisconnectReasonCount> disconnects_{};
 
-  obs::Counter accepted_c_;
-  obs::Counter overload_rejected_c_;
-  obs::Counter accept_errors_c_;
+  std::unique_ptr<obs::Registry> own_registry_;  // when none was installed
+  obs::Counter accepted_;
+  obs::Counter overload_rejected_;
+  obs::Counter accept_errors_;
   obs::Gauge open_g_;
   obs::Gauge buffered_bytes_g_;
   obs::Gauge inflight_g_;
-  std::array<obs::Counter, kMessageClassCount> shed_c_;
-  std::array<obs::Counter, kDisconnectReasonCount> disconnects_c_;
+  std::array<obs::Counter, kMessageClassCount> shed_;
+  std::array<obs::Counter, kDisconnectReasonCount> disconnects_;
 };
 
 /// Internal: a transport's hookup to the process flight recorder, resolved

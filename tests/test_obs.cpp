@@ -1,7 +1,8 @@
 // The observability layer: registry interning and handle semantics, the
 // no-op mode, histogram bucket mapping, the Prometheus renderer (golden
-// output), the concurrent-hammer race (this binary's TSan gate), the svc
-// metrics op, the pinned serving metric catalogue, and the cornerstone
+// output), the concurrent-hammer race (this binary's TSan gate), the
+// retired binary ops answering kError while the server's counters reach
+// /metrics, the pinned serving metric catalogue, and the cornerstone
 // determinism contract: instrumentation never changes what the pipeline
 // computes.
 //
@@ -378,24 +379,48 @@ TEST(ThreadPool, InstrumentsSubmissionAndCompletion) {
   EXPECT_EQ(observed, 20u);
 }
 
-TEST(Service, MetricsOpServesPrometheusPage) {
+// Frame types 6/7 (a binary metrics op) are retired: the admin plane's
+// /metrics is the one reader of the registry. A client still sending
+// either gets a typed error back, counted as malformed, and the server's
+// counters reach the page through the registry they share.
+TEST(Service, RetiredMetricsOpIsAnUnexpectedFrame) {
+  {
+    svc::SnapshotStore history(svc::SnapshotStore::Config{});
+    svc::Server server(history);
+    svc::LoopbackConnection conn(server);
+    for (const char type : {'\x06', '\x07'}) {
+      std::string reply = conn.roundtrip(
+          std::string("DL\x01") + type + std::string(4, '\0'));
+      ASSERT_EQ(svc::decode_header(reply).type, svc::FrameType::kError);
+      EXPECT_NE(svc::decode_error(svc::frame_payload(reply))
+                    .find("unexpected frame type from client"),
+                std::string::npos);
+    }
+    EXPECT_EQ(server.stats().malformed, 2u);
+  }
+
+  obs::Registry reg;
+  obs::ScopedRegistry scoped(reg);
   svc::SnapshotStore history(svc::SnapshotStore::Config{});
-  svc::Server server(history);  // no installed registry: a private one
+  svc::Server server(history);
   svc::LoopbackConnection conn(server);
-  std::string reply = conn.roundtrip(svc::encode_metrics_request());
-  svc::FrameHeader header = svc::decode_header(reply);
-  ASSERT_EQ(header.type, svc::FrameType::kMetricsResponse);
-  std::string page = svc::decode_metrics_response(svc::frame_payload(reply));
+  const svc::Query query{net::Date::parse("2021-01-01"),
+                         net::Prefix::parse("192.0.2.0/24"), svc::kAllFields};
+  const std::string reply = conn.roundtrip(svc::encode_query_request({query}));
+  ASSERT_EQ(svc::decode_header(reply).type, svc::FrameType::kQueryResponse);
+
+  svc::AdminHttpService admin(reg);
+  const std::string page = admin.serve("GET /metrics HTTP/1.1\r\n\r\n");
   EXPECT_NE(page.find("# TYPE droplens_svc_requests_total counter"),
             std::string::npos);
   EXPECT_NE(page.find("droplens_svc_request_latency_ns_bucket"),
             std::string::npos);
-  // The metrics frame itself was counted before the page rendered.
-  EXPECT_NE(page.find("droplens_svc_requests_total 1"), std::string::npos);
+  EXPECT_NE(page.find("droplens_svc_requests_total 1\n"), std::string::npos)
+      << page;
 }
 
-// Frame types 3/4 (a binary stats op) are retired: the metrics op serves
-// the same counters. A client still sending 3 gets a typed error back.
+// Frame types 3/4 (a binary stats op) are retired too. A client still
+// sending 3 gets a typed error back.
 TEST(Service, RetiredStatsOpIsAnUnexpectedFrame) {
   svc::SnapshotStore history(svc::SnapshotStore::Config{});
   svc::Server server(history);
@@ -416,7 +441,7 @@ TEST(Service, ServerPrefersInstalledRegistry) {
   svc::Server server(history);
   EXPECT_EQ(&server.metrics_registry(), &reg);
   svc::LoopbackConnection conn(server);
-  (void)conn.roundtrip(svc::encode_metrics_request());
+  (void)conn.roundtrip(svc::encode_query_request({}));
   EXPECT_EQ(reg.counter("droplens_svc_requests_total").value(), 1u);
 }
 

@@ -1,9 +1,11 @@
 // The hardened serving edge: timer-wheel semantics, accept-errno policy,
-// connection caps with typed refusals, idle/read deadlines (the slowloris
-// regression, on all three protocol fronts), write-queue backpressure and
-// the flush grace for a peer that never reads its eviction notice,
-// shed-priority ordering, hostile-client drills via sim::NetFaultInjector,
-// and answers over TCP byte-identical to their in-process references.
+// connection caps with typed refusals, the idle timeout and the partial
+// messages it also bounds (the slowloris regression, on all three protocol
+// fronts), write-queue backpressure and the flush grace for a peer that
+// never reads its eviction notice, shed-priority ordering, stats() equal
+// to the listener's registry series, hostile-client drills via
+// sim::NetFaultInjector, and answers over TCP byte-identical to their
+// in-process references.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -315,14 +317,16 @@ TEST(EpollEdge, MalformedHeadGetsTypedReplyThenClose) {
 }
 
 // The slowloris regression, against the whois front: a byte-at-a-time
-// client must be disconnected at the read deadline with the typed F line,
-// no matter how steadily it drips.
+// client must be disconnected with the typed F line once its partial line
+// is older than the idle timeout, no matter how steadily it drips. Each
+// drip is activity, so an idle bound counted from the last byte alone
+// would never cut it.
 TEST(EpollEdge, WhoisSlowlorisIsCutAtReadDeadline) {
   irr::Database db;
   irr::WhoisServer whois(db, net::Date::parse("2021-01-01"));
   svc::WhoisService service(whois);
   svc::TransportOptions o;
-  o.read_deadline_ms = 150;
+  o.idle_timeout_ms = 150;
   svc::EpollServer server(service, o);
 
   sim::NetFaultInjector::Config config;
@@ -364,7 +368,7 @@ TEST(EpollEdge, HttpSlowlorisGets408) {
   obs::Registry registry;
   svc::AdminHttpService service(registry);
   svc::TransportOptions o;
-  o.read_deadline_ms = 150;
+  o.idle_timeout_ms = 150;
   svc::EpollServer server(service, o);
 
   int fd = raw_connect(server.port());
@@ -583,6 +587,126 @@ TEST(EpollEdge, StopWhileConnectionsAreOpenCountsServerStop) {
   EXPECT_EQ(reason_count(stats, svc::DisconnectReason::kServerStop), 1u);
   EXPECT_EQ(stats.open, 0u);
   ::close(fd);
+}
+
+// ---------------------------------------------------------------------------
+// One reader per counter: stats() reads the listener's registry series
+
+/// Label values of droplens_transport_shed_total, by MessageClass.
+constexpr const char* kClasses[] = {"bulk", "normal", "control"};
+
+/// Every TransportStats field on one line, so a mismatch names the field.
+std::string show(const svc::TransportStats& s) {
+  std::string out = "accepted=" + std::to_string(s.accepted) +
+                    " overload_rejected=" +
+                    std::to_string(s.overload_rejected) +
+                    " accept_errors=" + std::to_string(s.accept_errors) +
+                    " open=" + std::to_string(s.open);
+  for (size_t i = 0; i < svc::kMessageClassCount; ++i) {
+    out += std::string(" shed.") + kClasses[i] + "=" +
+           std::to_string(s.shed[i]);
+  }
+  for (size_t i = 0; i < svc::kDisconnectReasonCount; ++i) {
+    out += std::string(" ") +
+           svc::disconnect_reason_name(static_cast<svc::DisconnectReason>(i)) +
+           "=" + std::to_string(s.disconnects[i]);
+  }
+  return out;
+}
+
+/// The droplens_transport_* series of epoll listener `name` in `reg`.
+svc::TransportStats series_of(obs::Registry& reg, const std::string& name) {
+  auto labels = [&](const char* key = nullptr, const char* value = nullptr) {
+    obs::Labels l{{"transport", "epoll"}, {"listener", name}};
+    if (key) l.emplace_back(key, value);
+    return l;
+  };
+  svc::TransportStats s;
+  s.accepted = reg.counter("droplens_transport_accepted_total", labels())
+                   .value();
+  s.overload_rejected =
+      reg.counter("droplens_transport_overload_rejects_total", labels())
+          .value();
+  s.accept_errors =
+      reg.counter("droplens_transport_accept_errors_total", labels()).value();
+  s.open = static_cast<uint64_t>(
+      reg.gauge("droplens_transport_open_connections", labels()).value());
+  for (size_t i = 0; i < svc::kMessageClassCount; ++i) {
+    s.shed[i] = reg.counter("droplens_transport_shed_total",
+                            labels("class", kClasses[i]))
+                    .value();
+  }
+  for (size_t i = 0; i < svc::kDisconnectReasonCount; ++i) {
+    const char* reason =
+        svc::disconnect_reason_name(static_cast<svc::DisconnectReason>(i));
+    s.disconnects[i] = reg.counter("droplens_transport_disconnects_total",
+                                   labels("reason", reason))
+                           .value();
+  }
+  return s;
+}
+
+/// One accept, one refusal at the cap (max_conns 1), one bulk shed, a peer
+/// close, a second accept and a close at stop(). Returns the stats after.
+svc::TransportStats drive_accepts_refusal_shed_and_closes(
+    svc::EpollServer& server) {
+  {
+    svc::TcpClientConnection first("127.0.0.1", server.port(), line_framer);
+    EXPECT_EQ(first.roundtrip("hi\n"), "echo:hi\n");
+    int fd = raw_connect(server.port());
+    EXPECT_GE(fd, 0);
+    EXPECT_EQ(raw_read_to_eof(fd, 3000), "busy-conn\n");
+    ::close(fd);
+    server.set_inflight_bias_for_tests(2);  // bulk sheds at max_inflight/2
+    EXPECT_EQ(first.roundtrip("bulk scan\n"), "shed\n");
+    server.set_inflight_bias_for_tests(0);
+  }
+  EXPECT_TRUE(eventually([&] { return server.stats().open == 0; }));
+  svc::TcpClientConnection second("127.0.0.1", server.port(), line_framer);
+  EXPECT_EQ(second.roundtrip("again\n"), "echo:again\n");
+  server.stop();
+  return server.stats();
+}
+
+TEST(EpollEdge, StatsReadTheListenersSeries) {
+  svc::TransportOptions o;
+  o.name = "query";
+  o.max_conns = 1;
+  o.max_inflight = 4;
+  svc::TransportStats expected;
+  expected.accepted = 2;
+  expected.overload_rejected = 1;
+  expected.shed[static_cast<size_t>(svc::MessageClass::kBulk)] = 1;
+  expected.disconnects[static_cast<size_t>(
+      svc::DisconnectReason::kPeerClosed)] = 1;
+  expected.disconnects[static_cast<size_t>(
+      svc::DisconnectReason::kServerStop)] = 1;
+
+  {
+    obs::Registry reg;
+    obs::ScopedRegistry scoped(reg);
+    EchoService service;
+    svc::EpollServer server(service, o);
+    const svc::TransportStats stats =
+        drive_accepts_refusal_shed_and_closes(server);
+    EXPECT_EQ(show(stats), show(expected));
+    EXPECT_EQ(show(series_of(reg, "query")), show(stats));
+
+    // A series is keyed by name and labels: a second listener of the same
+    // name under this registry counts into the same cells.
+    svc::EpollServer twin(service, o);
+    svc::TcpClientConnection client("127.0.0.1", twin.port(), line_framer);
+    EXPECT_EQ(client.roundtrip("twin\n"), "echo:twin\n");
+    EXPECT_EQ(twin.stats().accepted, 3u);
+    EXPECT_EQ(server.stats().accepted, 3u);
+  }
+
+  // No registry installed: the listener binds a private one and stats()
+  // counts the same traffic.
+  EchoService service;
+  svc::EpollServer server(service, o);
+  EXPECT_EQ(show(drive_accepts_refusal_shed_and_closes(server)),
+            show(expected));
 }
 
 // ---------------------------------------------------------------------------
