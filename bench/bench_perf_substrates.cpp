@@ -9,7 +9,13 @@
 // `--scale-gate` skips the benchmark harness and runs the data-plane
 // regression gate instead: best-of-3 timed sweeps over a 1M-segment array,
 // exiting 1 if the batched Eytzinger path is not >= 3x the upper_bound
-// reference on one core (the ISSUE acceptance bar; CI runs it).
+// reference on one core (CI runs it).
+//
+//   $ ./bench_perf_substrates [--scale-gate] [--benchmark_...]
+//
+// Any other argument (one google-benchmark does not consume either) prints
+// the usage line and exits 2 before a benchmark runs, so a misspelt gate
+// flag fails instead of running the suite.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -397,10 +403,22 @@ int run_scale_gate() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--scale-gate") return run_scale_gate();
-  }
+  // Initialize removes the --benchmark_* flags it parsed from argv.
   benchmark::Initialize(&argc, argv);
+  bool scale_gate = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--scale-gate") {
+      scale_gate = true;
+    } else {
+      std::fprintf(stderr,
+                   "unknown flag: %s\n"
+                   "usage: bench_perf_substrates [--scale-gate] "
+                   "[--benchmark_...]\n",
+                   argv[i]);
+      return 2;
+    }
+  }
+  if (scale_gate) return run_scale_gate();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

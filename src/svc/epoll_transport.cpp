@@ -28,18 +28,25 @@ constexpr uint32_t kTickMs = 16;
 /// when the write queue last became non-empty; a peer that won't even read
 /// its eviction notice is force-closed after this.
 constexpr uint64_t kFlushGraceMs = 1000;
+/// How long an event thread keeps polling (epoll_wait timeout 0) after its
+/// last socket event before it blocks: one client turnaround, so the next
+/// request of a closed-loop client finds the thread running instead of
+/// paying a cross-CPU wakeup (DESIGN.md §11, "Poll before sleeping").
+constexpr uint64_t kSpinUs = 50;
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("svc epoll: " + what + ": " +
                            std::strerror(errno));
 }
 
-uint64_t steady_ms() {
+uint64_t steady_us() {
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+uint64_t steady_ms() { return steady_us() / 1000; }
 
 }  // namespace
 
@@ -185,19 +192,25 @@ void EpollServer::stop() {
 
 void EpollServer::loop(Worker& w) {
   std::array<epoll_event, 64> events;
+  uint64_t poll_until_us = 0;  // waits use timeout 0 until then
   while (!stopping_.load(std::memory_order_acquire)) {
-    uint64_t now = steady_ms();
-    const uint64_t delay = w.wheel->next_wake_delay(now, /*idle_hint=*/200);
-    const int timeout = static_cast<int>(std::min<uint64_t>(delay, 60'000));
+    int timeout = 0;
+    if (steady_us() >= poll_until_us) {
+      const uint64_t delay =
+          w.wheel->next_wake_delay(steady_ms(), /*idle_hint=*/200);
+      timeout = static_cast<int>(std::min<uint64_t>(delay, 60'000));
+    }
     int n = ::epoll_wait(w.epoll_fd, events.data(),
                          static_cast<int>(events.size()), timeout);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // epoll fd gone: shutting down
     }
-    now = steady_ms();
+    const uint64_t now = steady_ms();
+    bool served = false;
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
+      served |= fd != w.wake_fd;
       if (fd == listen_fd_) {
         accept_ready(w, now);
       } else if (fd == w.wake_fd) {
@@ -214,6 +227,7 @@ void EpollServer::loop(Worker& w) {
         }
       }
     }
+    if (served) poll_until_us = steady_us() + kSpinUs;
     expire_timers(w, steady_ms());
   }
   // Teardown: this thread owns its shard exclusively, so closing here
@@ -222,12 +236,11 @@ void EpollServer::loop(Worker& w) {
     counters_.add_buffered(-static_cast<int64_t>(c->out_bytes));
     if (c->unflushed > 0) {
       inflight_.fetch_sub(c->unflushed, std::memory_order_relaxed);
+      counters_.add_inflight(-static_cast<int64_t>(c->unflushed));
     }
     counters_.on_close(DisconnectReason::kServerStop);
     ::close(fd);
   }
-  counters_.set_inflight(
-      static_cast<int64_t>(inflight_.load(std::memory_order_relaxed)));
   w.conns.clear();
 }
 
@@ -390,8 +403,7 @@ bool EpollServer::drain_messages(Worker& w, Conn& c, uint64_t now) {
       continue;
     }
     inflight_.fetch_add(1, std::memory_order_relaxed);
-    counters_.set_inflight(
-        static_cast<int64_t>(inflight_.load(std::memory_order_relaxed)));
+    counters_.add_inflight(1);
     c.unflushed += 1;
     c.trace_reading = false;
     c.trace.stage("serve");
@@ -465,9 +477,8 @@ bool EpollServer::flush_out(Worker& w, Conn& c, uint64_t now) {
     c.write_pending_since = 0;
     if (c.unflushed > 0) {
       inflight_.fetch_sub(c.unflushed, std::memory_order_relaxed);
+      counters_.add_inflight(-static_cast<int64_t>(c.unflushed));
       c.unflushed = 0;
-      counters_.set_inflight(
-          static_cast<int64_t>(inflight_.load(std::memory_order_relaxed)));
     }
     // The response reached the kernel: the request's trace is complete.
     if (c.trace && c.trace_served) finish_trace(c, "ok");
@@ -521,8 +532,7 @@ void EpollServer::close_conn(Worker& w, Conn& c, DisconnectReason reason) {
   counters_.add_buffered(-static_cast<int64_t>(c.out_bytes));
   if (c.unflushed > 0) {
     inflight_.fetch_sub(c.unflushed, std::memory_order_relaxed);
-    counters_.set_inflight(
-        static_cast<int64_t>(inflight_.load(std::memory_order_relaxed)));
+    counters_.add_inflight(-static_cast<int64_t>(c.unflushed));
   }
   counters_.on_close(reason);
   ::close(fd);

@@ -7,7 +7,10 @@
 // shared listening socket sits in every epoll with EPOLLEXCLUSIVE, so
 // accepts spread across the pool without a handoff queue and each
 // connection is confined to the thread that accepted it (no cross-thread
-// connection state, which is what keeps the loop TSan-clean).
+// connection state, which is what keeps the loop TSan-clean). A thread
+// that just served polls for one client turnaround before it blocks, so a
+// closed-loop client's next request skips a cross-CPU wakeup; an idle
+// thread blocks at once.
 //
 // Robustness is the point, not an afterthought:
 //

@@ -64,7 +64,9 @@ std::shared_ptr<const Snapshot> SnapshotStore::get_internal(net::Date d,
         update_resident_gauge();
       }
       slot = registered;
-      slot->last_used = ++clock_;
+      // Only a client's own get() is a use: a base resolved for another
+      // day neither enters warm nor refreshes a resident base.
+      if (depth == 0) slot->last_used = ++clock_;
       if (slot->ready.load(std::memory_order_acquire)) {
         ++stats_.resident_hits;
         return slot->snap;

@@ -15,6 +15,13 @@
 // re-materialization after eviction/rescan — so two distinct snapshot
 // objects never share a version (asserted by tests/test_snapshot_io.cpp).
 //
+// Residency rule: recency is what clients ask for. Only a client's own
+// get() stamps a day as used. A base that a delta resolve loads for another
+// day enters cold (the first victim once over capacity), and a resident
+// base that a resolve reads keeps the recency clients gave it. So an
+// old-chain request evicts its own bases before any day clients are
+// reading, and the requested day outlives its bases (label `window`).
+//
 // Thread safety: a short registry mutex guards the date→slot map, the LRU
 // clock, and the counters; every date additionally owns a materialization
 // latch. get() touches the registry lock only to find or create the slot,
@@ -55,7 +62,8 @@ class SnapshotStore {
     /// created on first save if missing.
     std::string dir;
     /// Max resident (mapped, patched, or compiled) days; least-recently-
-    /// used days are dropped beyond it. 0 = unbounded.
+    /// used days are dropped beyond it, bases never used by a client
+    /// first. 0 = unbounded.
     size_t max_resident = 8;
     /// Write a .dls for every compile miss (requires `dir`). Always a
     /// keyframe — healing a corrupt delta rewrites it as one.
@@ -135,7 +143,7 @@ class SnapshotStore {
   /// One date's residency. `latch` serializes materialization of this date
   /// only; `snap` and `stamp` are written under it before `ready` is set
   /// (release) and are immutable once `ready` reads true (acquire).
-  /// `last_used` belongs to the registry lock.
+  /// `last_used` belongs to the registry lock; 0 = never used by a client.
   struct Slot {
     std::mutex latch;
     std::atomic<bool> ready{false};

@@ -109,13 +109,13 @@ bool TransportCounters::try_accept(size_t max_conns) {
     return false;
   }
   accepted_.inc();
-  open_g_.set(static_cast<int64_t>(now_open));
+  open_g_.add(1);
   return true;
 }
 
 void TransportCounters::on_close(DisconnectReason r) {
-  uint64_t now_open = open_.fetch_sub(1, std::memory_order_relaxed) - 1;
-  open_g_.set(static_cast<int64_t>(now_open));
+  open_.fetch_sub(1, std::memory_order_relaxed);
+  open_g_.sub(1);
   disconnects_[static_cast<size_t>(r)].inc();
 }
 
@@ -124,7 +124,7 @@ TransportStats TransportCounters::snapshot() const {
   s.accepted = accepted_.value();
   s.overload_rejected = overload_rejected_.value();
   s.accept_errors = accept_errors_.value();
-  s.open = open_.load(std::memory_order_relaxed);
+  s.open = static_cast<uint64_t>(open_g_.value());
   for (size_t i = 0; i < kMessageClassCount; ++i) {
     s.shed[i] = shed_[i].value();
   }

@@ -177,7 +177,7 @@ struct TransportStats {
   uint64_t accepted = 0;          ///< connections accepted over the lifetime
   uint64_t overload_rejected = 0; ///< accepts refused at the connection cap
   uint64_t accept_errors = 0;     ///< transient accept() failures survived
-  uint64_t open = 0;              ///< currently open connections
+  uint64_t open = 0;              ///< currently open connections (series)
   std::array<uint64_t, kMessageClassCount> shed{};  ///< messages shed, by class
   std::array<uint64_t, kDisconnectReasonCount> disconnects{};
 };
@@ -187,7 +187,8 @@ struct TransportStats {
 /// one), so stats() and /metrics read the same numbers. A series is keyed
 /// by name and labels: two same-named listeners under one installed
 /// registry share their series, and each one's stats() reports the sum.
-/// `open` alone is per listener: it is the connection cap's slot count.
+/// The gauges move by deltas, so they sum the same way; stats().open is
+/// that sum too. The connection cap counts this listener's own slots.
 class TransportCounters {
  public:
   TransportCounters(const char* transport, const std::string& name);
@@ -199,7 +200,7 @@ class TransportCounters {
   void on_accept_error() { accept_errors_.inc(); }
   void on_shed(MessageClass c) { shed_[static_cast<size_t>(c)].inc(); }
   void add_buffered(int64_t delta) { buffered_bytes_g_.add(delta); }
-  void set_inflight(int64_t v) { inflight_g_.set(v); }
+  void add_inflight(int64_t delta) { inflight_g_.add(delta); }
 
   TransportStats snapshot() const;
 

@@ -11,6 +11,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -590,6 +591,51 @@ TEST(EpollEdge, StopWhileConnectionsAreOpenCountsServerStop) {
 }
 
 // ---------------------------------------------------------------------------
+// Poll before sleeping: an event thread polls for kSpinUs after its last
+// socket event, then blocks. These bound that polling by the process's CPU
+// time over a silence; a thread that polled throughout would use about all
+// of it.
+
+std::chrono::microseconds process_cpu() {
+  rusage u{};
+  ::getrusage(RUSAGE_SELF, &u);
+  auto span = [](const timeval& t) {
+    return std::chrono::seconds(t.tv_sec) +
+           std::chrono::microseconds(t.tv_usec);
+  };
+  return span(u.ru_utime) + span(u.ru_stime);
+}
+
+constexpr auto kSilence = 500ms;
+
+std::chrono::microseconds cpu_over_silence() {
+  const auto before = process_cpu();
+  std::this_thread::sleep_for(kSilence);
+  return process_cpu() - before;
+}
+
+TEST(EpollEdge, IdleListenerBlocksInsteadOfPolling) {
+  EchoService service;
+  svc::EpollServer server(service, svc::TransportOptions{});
+  svc::TcpClientConnection client("127.0.0.1", server.port(), line_framer);
+  EXPECT_EQ(client.roundtrip("hi\n"), "echo:hi\n");
+  // The connection stays open and says nothing more.
+  const auto used = cpu_over_silence();
+  EXPECT_LT(used, kSilence / 5) << used.count() << " us of CPU while idle";
+}
+
+TEST(EpollEdge, PollingStopsByItselfAfterABurst) {
+  EchoService service;
+  svc::EpollServer server(service, svc::TransportOptions{});
+  svc::TcpClientConnection client("127.0.0.1", server.port(), line_framer);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_EQ(client.roundtrip("burst\n"), "echo:burst\n");
+  }
+  const auto used = cpu_over_silence();
+  EXPECT_LT(used, kSilence / 5) << used.count() << " us of CPU after a burst";
+}
+
+// ---------------------------------------------------------------------------
 // One reader per counter: stats() reads the listener's registry series
 
 /// Label values of droplens_transport_shed_total, by MessageClass.
@@ -694,11 +740,43 @@ TEST(EpollEdge, StatsReadTheListenersSeries) {
 
     // A series is keyed by name and labels: a second listener of the same
     // name under this registry counts into the same cells.
-    svc::EpollServer twin(service, o);
-    svc::TcpClientConnection client("127.0.0.1", twin.port(), line_framer);
-    EXPECT_EQ(client.roundtrip("twin\n"), "echo:twin\n");
-    EXPECT_EQ(twin.stats().accepted, 3u);
-    EXPECT_EQ(server.stats().accepted, 3u);
+    svc::TransportOptions slow = o;
+    slow.so_sndbuf = 4096;  // an unread response stays queued, in flight
+    svc::EpollServer twin(service, slow);
+    {
+      svc::TcpClientConnection client("127.0.0.1", twin.port(), line_framer);
+      EXPECT_EQ(client.roundtrip("twin\n"), "echo:twin\n");
+      EXPECT_EQ(twin.stats().accepted, 3u);
+      EXPECT_EQ(server.stats().accepted, 3u);
+    }
+    EXPECT_TRUE(eventually([&] { return twin.stats().open == 0; }));
+
+    // The gauges move by deltas, so they sum as well. One connection on
+    // each of two live twins, each holding a response its peer does not
+    // read: the series, and both listeners' stats(), read two.
+    svc::EpollServer other(service, slow);
+    auto inflight = [&] {
+      return reg
+          .gauge("droplens_transport_inflight",
+                 {{"transport", "epoll"}, {"listener", "query"}})
+          .value();
+    };
+    std::vector<int> peers;
+    for (const svc::EpollServer* listener : {&twin, &other}) {
+      peers.push_back(raw_connect(listener->port(), /*rcvbuf=*/8192));
+      ASSERT_GE(peers.back(), 0);
+      ASSERT_TRUE(raw_send(peers.back(), "big 262144\n"));
+    }
+    EXPECT_TRUE(eventually([&] {
+      return inflight() == 2 && series_of(reg, "query").open == 2;
+    })) << "in-flight gauge " << inflight() << ", open gauge "
+        << series_of(reg, "query").open;
+    EXPECT_EQ(twin.stats().open, 2u);
+    EXPECT_EQ(other.stats().open, 2u);
+    EXPECT_EQ(show(twin.stats()), show(series_of(reg, "query")));
+    for (int fd : peers) ::close(fd);
+    EXPECT_TRUE(eventually(
+        [&] { return twin.stats().open == 0 && inflight() == 0; }));
   }
 
   // No registry installed: the listener binds a private one and stats()

@@ -15,6 +15,8 @@
 //      serves its own day of a range.
 //   3. Rescan — incremental: resident days with unchanged files survive a
 //      rescan; changed, deleted, and file-less days are dropped.
+//      Residency — only a client's get() is a use: an old-chain resolve
+//      evicts its own bases, never the days clients are reading.
 //   4. HTTP — the metrics front consumes full requests (head + declared
 //      body), so keep-alive and pipelined peers stay in sync.
 #include <gtest/gtest.h>
@@ -41,6 +43,7 @@
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
 #include "svc/snapshot.hpp"
+#include "svc/snapshot_io.hpp"
 #include "svc/snapshot_store.hpp"
 #include "svc/transport.hpp"
 #include "util/error.hpp"
@@ -409,6 +412,61 @@ TEST_F(WindowTest, RescanKeepsUnchangedDaysAndDropsChangedOrDeletedOnes) {
   ASSERT_EQ(mem.resident_count(), 1u);
   mem.rescan();
   EXPECT_EQ(mem.resident_count(), 0u);
+}
+
+TEST_F(WindowTest, ChainResolveEvictsItsBasesNotTheDaysClientsRead) {
+  core::Study s = study();
+  core::DropIndex index = core::DropIndex::build(s);
+  TempDir tmp;
+  svc::SnapshotStore::Config cfg;
+  cfg.dir = tmp.dir();
+  // One keyframe and seven deltas, each over the day before (the layout
+  // `snapshot_tool delta` writes).
+  constexpr int kDays = 8;
+  {
+    svc::SnapshotStore writer(cfg, &s, &index);
+    std::shared_ptr<const svc::Snapshot> prev;
+    for (int i = 0; i < kDays; ++i) {
+      auto snap = writer.get(date(40 + i));
+      ASSERT_NE(snap, nullptr);
+      if (prev) {
+        svc::save_snapshot_delta(*snap, *prev, writer.path_for(date(40 + i)));
+      }
+      prev = std::move(snap);
+    }
+  }
+
+  // Capacity 3: below the chain plus the two hot days.
+  cfg.max_resident = 3;
+  svc::SnapshotStore store(cfg);
+  const net::Date hot_new = date(40 + kDays - 1);
+  const net::Date hot_old = date(40 + kDays - 2);
+  const net::Date old_day = date(42);  // two bases below it
+  auto newest = store.get(hot_new);
+  auto second = store.get(hot_old);
+  ASSERT_NE(newest, nullptr);
+  ASSERT_NE(second, nullptr);
+  const svc::SnapshotStore::Stats warm = store.stats();
+  EXPECT_EQ(store.get(hot_new).get(), newest.get())
+      << "the day a client asked for was evicted by its own bases";
+  EXPECT_EQ(store.get(hot_old).get(), second.get());
+
+  // An old-chain resolve evicts its cold bases first, and the hot days
+  // stay resident: reading them again loads nothing.
+  auto old_snap = store.get(old_day);
+  ASSERT_NE(old_snap, nullptr);
+  const svc::SnapshotStore::Stats resolved = store.stats();
+  EXPECT_EQ(resolved.loads, warm.loads + 1);              // the keyframe
+  EXPECT_EQ(resolved.delta_loads, warm.delta_loads + 2);  // two hops
+  EXPECT_EQ(store.get(hot_new).get(), newest.get());
+  EXPECT_EQ(store.get(hot_old).get(), second.get());
+  // The requested day outlives its bases: it is still resident, and the
+  // store holds exactly it and the two hot days.
+  EXPECT_EQ(store.get(old_day).get(), old_snap.get());
+  EXPECT_EQ(store.resident_count(), 3u);
+  const svc::SnapshotStore::Stats after = store.stats();
+  EXPECT_EQ(after.loads, resolved.loads);
+  EXPECT_EQ(after.delta_loads, resolved.delta_loads);
 }
 
 // ---------------------------------------------------------------------------
