@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--crosscheck") == 0) do_crosscheck = true;
   }
-  bench::Harness h = bench::Harness::make(argc, argv);
+  bench::Harness h = bench::Harness::make(argc, argv, {"--crosscheck"});
   core::AlarmResult r = core::analyze_alarms(*h.study, h.index);
 
   std::map<core::AlarmKind, int> by_kind;

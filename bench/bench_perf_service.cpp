@@ -276,7 +276,8 @@ int main(int argc, char** argv) {
     }
   }
   if (scale) return run_scale_gate();
-  bench::Harness h = bench::Harness::make(argc, argv);
+  bench::Harness h = bench::Harness::make(
+      argc, argv, {"--reload", "--threads=", "--seconds=", "--batch="});
 
   net::Date d = h.study->window_begin + 60;
   std::cerr << "[compiling snapshot...]\n";

@@ -98,7 +98,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::Harness h = bench::Harness::make(argc, argv);
+  bench::Harness h = bench::Harness::make(
+      argc, argv, {"--days=", "--threads=", "--keyframe-every="});
   util::ThreadPool pool(threads);
   h.study->pool = &pool;
 

@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   obs::Registry registry;
   obs::ScopedRegistry scoped(registry);
 
-  bench::Harness h = bench::Harness::make(argc, argv);
+  bench::Harness h = bench::Harness::make(argc, argv, {"--churn="});
   const sim::ScenarioConfig& config = h.world->config;
 
   std::cerr << "[lowering world to event stream...]\n";

@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "core/drop_index.hpp"
 #include "core/snapshot_cache.hpp"
@@ -32,22 +34,40 @@ struct Harness {
            std::strncmp(arg, "--seed=", 7) == 0;
   }
 
-  /// Reads `--small` and `--seed=N` and leaves every other argument to the
-  /// binary. A `--seed=` that is not a whole uint64 prints the usage line
-  /// and exits 2 before the world is generated.
-  static Harness make(int argc, char** argv) {
+  /// Reads `--small` and `--seed=N`, and lets through the binary's own
+  /// `flags`: each is a whole argument, or, ending in '=', the prefix of one
+  /// whose value the binary parses itself. Any other argument, or a
+  /// `--seed=` that is not a whole uint64, prints the usage line and exits
+  /// 2 before the world is generated.
+  static Harness make(int argc, char** argv,
+                      std::initializer_list<std::string_view> flags = {}) {
+    auto fail = [&](const std::string& why) {
+      std::cerr << why << "\nusage: " << argv[0] << " [--small] [--seed=N]";
+      for (std::string_view f : flags) {
+        std::cerr << " [" << f << (f.ends_with('=') ? "N" : "") << "]";
+      }
+      std::cerr << "\n";
+      std::exit(2);
+    };
+    auto own = [&](std::string_view arg) {
+      for (std::string_view f : flags) {
+        if (f.ends_with('=') ? arg.starts_with(f) : arg == f) return true;
+      }
+      return false;
+    };
     bool small = false;
     uint64_t seed = 0;
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--small") == 0) small = true;
-      if (std::strncmp(argv[i], "--seed=", 7) == 0) {
+      if (std::strcmp(argv[i], "--small") == 0) {
+        small = true;
+      } else if (std::strncmp(argv[i], "--seed=", 7) == 0) {
         try {
           seed = util::parse_number<uint64_t>(argv[i] + 7);
         } catch (const ParseError& e) {
-          std::cerr << argv[i] << ": " << e.what() << "\nusage: " << argv[0]
-                    << " [--small] [--seed=N]\n";
-          std::exit(2);
+          fail(std::string(argv[i]) + ": " + e.what());
         }
+      } else if (!own(argv[i])) {
+        fail(std::string("unknown flag: ") + argv[i]);
       }
     }
     sim::ScenarioConfig config =

@@ -33,14 +33,14 @@ As0Result analyze_as0(const Study& study, const DropIndex& index) {
   auto sample = [&](net::Date d) {
     FreePoolSample s;
     s.date = d;
-    engine::SetPtr as0_space = engine::signed_space(
+    engine::DaySet as0_space = engine::signed_space(
         study, d, as0_tals, rpki::RoaArchive::Filter::kAs0Only);
     if (!as0_space) {
       s.degraded = true;
       return s;
     }
     for (rir::Rir rir : rir::kAllRirs) {
-      engine::SetPtr pool = engine::free_pool(study, rir, d);
+      engine::DaySet pool = engine::free_pool(study, rir, d);
       if (!pool) {
         s = FreePoolSample{};
         s.date = d;

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <initializer_list>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -27,7 +26,7 @@
 
 namespace droplens::core::engine {
 
-using SetPtr = SnapshotCache::SetPtr;
+using DaySet = SnapshotCache::DaySet;
 
 /// True when the Study's ingestion ledger (if any) trusts day `d` of feed
 /// `f`. With no ledger attached every day is available.
@@ -54,44 +53,41 @@ inline const SnapshotCache& cache(const Study& s) {
   return *s.snapshots;
 }
 
-// Each space helper returns nullptr for a day its substrate cannot serve —
-// either the ingestion ledger marked the day unavailable, or the underlying
-// computation failed (see SnapshotCache). Callers in per-day sampling loops
-// must treat nullptr as "skip and count this day", not dereference it.
+// Each space helper returns an empty DaySet for a day its substrate cannot
+// serve: either the ingestion ledger marked the day unavailable, or the
+// underlying computation failed (see SnapshotCache). Callers in per-day
+// sampling loops must treat an empty DaySet as "skip and count this day",
+// not dereference it.
 
-inline SetPtr routed_space(const Study& s, net::Date d) {
+inline DaySet routed_space(const Study& s, net::Date d) {
   const SnapshotCache& c = cache(s);
-  return day_available(s, Feed::kBgpUpdates, d) ? c.routed_space(d) : nullptr;
+  return day_available(s, Feed::kBgpUpdates, d) ? c.routed_space(d)
+                                                 : std::nullopt;
 }
 
-inline SetPtr allocated_space(const Study& s, net::Date d) {
+inline DaySet allocated_space(const Study& s, net::Date d) {
   const SnapshotCache& c = cache(s);
   return day_available(s, Feed::kDelegations, d) ? c.allocated_space(d)
-                                                  : nullptr;
+                                                  : std::nullopt;
 }
 
-inline SetPtr signed_space(const Study& s, net::Date d, rpki::TalSet tals,
+inline DaySet signed_space(const Study& s, net::Date d, rpki::TalSet tals,
                            rpki::RoaArchive::Filter filter =
                                rpki::RoaArchive::Filter::kAll) {
   const SnapshotCache& c = cache(s);
   return day_available(s, Feed::kRoas, d) ? c.signed_space(d, tals, filter)
-                                          : nullptr;
+                                          : std::nullopt;
 }
 
-inline SetPtr free_pool(const Study& s, rir::Rir rir, net::Date d) {
+inline DaySet free_pool(const Study& s, rir::Rir rir, net::Date d) {
   const SnapshotCache& c = cache(s);
   return day_available(s, Feed::kDelegations, d) ? c.free_pool(rir, d)
-                                                  : nullptr;
+                                                  : std::nullopt;
 }
 
-inline SetPtr irr_space(const Study& s, net::Date d) {
+inline DaySet irr_space(const Study& s, net::Date d) {
   const SnapshotCache& c = cache(s);
-  return day_available(s, Feed::kIrr, d) ? c.irr_space(d) : nullptr;
-}
-
-inline SetPtr drop_space(const Study& s, net::Date d) {
-  const SnapshotCache& c = cache(s);
-  return day_available(s, Feed::kDropFeed, d) ? c.drop_space(d) : nullptr;
+  return day_available(s, Feed::kIrr, d) ? c.irr_space(d) : std::nullopt;
 }
 
 /// fn(i) for i in [0, n): across the Study's pool when one is attached,

@@ -14,12 +14,12 @@ RoaStatusSample sample_day(const Study& study, net::Date d) {
   using net::IntervalSet;
   RoaStatusSample s;
   s.date = d;
-  engine::SetPtr signed_all =
+  engine::DaySet signed_all =
       engine::signed_space(study, d, rpki::TalSet::defaults());
-  engine::SetPtr signed_nonas0 = engine::signed_space(
+  engine::DaySet signed_nonas0 = engine::signed_space(
       study, d, rpki::TalSet::defaults(), rpki::RoaArchive::Filter::kNonAs0Only);
-  engine::SetPtr routed = engine::routed_space(study, d);
-  engine::SetPtr allocated = engine::allocated_space(study, d);
+  engine::DaySet routed = engine::routed_space(study, d);
+  engine::DaySet allocated = engine::allocated_space(study, d);
   if (!signed_all || !signed_nonas0 || !routed || !allocated) {
     s.degraded = true;  // a substrate could not serve this day: skip-and-count
     return s;
@@ -62,7 +62,7 @@ RoaStatusResult analyze_roa_status(const Study& study) {
       study, {Feed::kRoas, Feed::kBgpUpdates, Feed::kDelegations});
   if (!end_opt) return r;
   net::Date end = *end_opt;
-  engine::SetPtr signed_nonas0 = engine::signed_space(
+  engine::DaySet signed_nonas0 = engine::signed_space(
       study, end, rpki::TalSet::defaults(),
       rpki::RoaArchive::Filter::kNonAs0Only);
   net::IntervalSet unrouted_signed = net::IntervalSet::set_difference(
@@ -92,7 +92,7 @@ RoaStatusResult analyze_roa_status(const Study& study) {
   r.top_signed_unrouted_holders = std::move(holders);
 
   // ARIN's share of the allocated-unrouted-unsigned space.
-  engine::SetPtr signed_all =
+  engine::DaySet signed_all =
       engine::signed_space(study, end, rpki::TalSet::defaults());
   net::IntervalSet unrouted_no_roa = net::IntervalSet::set_difference(
       net::IntervalSet::set_difference(*engine::allocated_space(study, end),

@@ -42,15 +42,6 @@ struct SnapshotCache::Tables {
 
 namespace {
 
-// TalSet keeps its bitmask private; recover it bit-by-bit for key packing.
-uint32_t tal_bits(rpki::TalSet tals) {
-  uint32_t bits = 0;
-  for (rpki::Tal t : rpki::kAllTals) {
-    if (tals.has(t)) bits |= uint32_t{1} << static_cast<int>(t);
-  }
-  return bits;
-}
-
 template <typename Row>
 bool live_on(const Row& r, net::Date d) {
   return r.begin <= d && d < r.end;
@@ -80,6 +71,19 @@ net::IntervalSet live_space(const std::vector<Row>& rows, net::Date d,
   return net::IntervalSet::from_sorted(ivs);
 }
 
+/// One computed set, counted once in `counter`. A substrate that cannot
+/// produce the day must not abort the run: the set comes back empty and
+/// callers degrade per day instead.
+template <typename Compute>
+SnapshotCache::DaySet compute_day(obs::Counter counter, Compute&& compute) {
+  counter.inc();
+  try {
+    return compute();
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
 }  // namespace
 
 SnapshotCache::SnapshotCache(const rir::Registry& registry,
@@ -89,18 +93,9 @@ SnapshotCache::SnapshotCache(const rir::Registry& registry,
                              const irr::Database* irr)
     : registry_(registry), fleet_(fleet), roas_(roas), drop_(drop), irr_(irr) {
   if (!irr_) throw InvariantError("SnapshotCache needs an IRR database");
-  for (size_t i = 0; i < kShardCount; ++i) {
-    obs::Labels labels{{"shard", std::to_string(i)}};
-    shards_[i].hits_metric =
-        obs::counter("droplens_cache_hits_total", labels,
-                     "SnapshotCache lookups served from the memo");
-    shards_[i].misses_metric =
-        obs::counter("droplens_cache_misses_total", labels,
-                     "SnapshotCache lookups that computed a substrate");
-    shards_[i].failure_memo_metric = obs::counter(
-        "droplens_cache_failure_memo_hits_total", labels,
-        "SnapshotCache hits on a memoized per-day substrate failure");
-  }
+  computed_sets_ =
+      obs::counter("droplens_cache_misses_total", {},
+                   "SnapshotCache lookups that computed a substrate");
 }
 
 SnapshotCache::~SnapshotCache() = default;
@@ -134,54 +129,22 @@ const SnapshotCache::Tables& SnapshotCache::tables() const {
   return *tables_;
 }
 
-template <typename Compute>
-SnapshotCache::SetPtr SnapshotCache::get_or_compute(uint64_t key,
-                                                    Compute&& compute) const {
-  Shard& shard = shards_[key % kShardCount];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it != shard.map.end()) {
-    ++shard.hits;
-    shard.hits_metric.inc();
-    if (!it->second) {
-      ++shard.failure_hits;
-      shard.failure_memo_metric.inc();
-    }
-    return it->second;
-  }
-  ++shard.misses;
-  shard.misses_metric.inc();
-  SetPtr value;
-  try {
-    value = std::make_shared<const net::IntervalSet>(compute());
-  } catch (const std::exception&) {
-    // A substrate that cannot produce this day must not abort the whole
-    // run: cache the failure as a null snapshot (computed at most once) and
-    // let callers degrade per-day instead.
-    ++shard.failures;
-  }
-  shard.map.emplace(key, value);
-  return value;
-}
-
-SnapshotCache::SetPtr SnapshotCache::routed_space(net::Date d) const {
-  return get_or_compute(make_key(Substrate::kRouted, d, 0), [&] {
+SnapshotCache::DaySet SnapshotCache::routed_space(net::Date d) const {
+  return compute_day(computed_sets_, [&] {
     return live_space(tables().episodes, d, [](const auto&) { return true; });
   });
 }
 
-SnapshotCache::SetPtr SnapshotCache::allocated_space(net::Date d) const {
-  return get_or_compute(make_key(Substrate::kAllocated, d, 0), [&] {
+SnapshotCache::DaySet SnapshotCache::allocated_space(net::Date d) const {
+  return compute_day(computed_sets_, [&] {
     return live_space(tables().allocations, d,
                       [](const auto&) { return true; });
   });
 }
 
-SnapshotCache::SetPtr SnapshotCache::signed_space(
+SnapshotCache::DaySet SnapshotCache::signed_space(
     net::Date d, rpki::TalSet tals, rpki::RoaArchive::Filter filter) const {
-  uint32_t variant =
-      (tal_bits(tals) << 8) | static_cast<uint8_t>(filter);
-  return get_or_compute(make_key(Substrate::kSigned, d, variant), [&] {
+  return compute_day(computed_sets_, [&] {
     using Filter = rpki::RoaArchive::Filter;
     return live_space(tables().roas, d, [&](const Tables::Roa& r) {
       if (!tals.has(static_cast<rpki::Tal>(r.tal))) return false;
@@ -192,29 +155,28 @@ SnapshotCache::SetPtr SnapshotCache::signed_space(
   });
 }
 
-SnapshotCache::SetPtr SnapshotCache::free_pool(rir::Rir rir,
+SnapshotCache::DaySet SnapshotCache::free_pool(rir::Rir rir,
                                                net::Date d) const {
-  return get_or_compute(
-      make_key(Substrate::kFreePool, d, static_cast<uint8_t>(rir)), [&] {
-        const net::IntervalSet allocated = live_space(
-            tables().allocations, d, [&](const Tables::Allocation& a) {
-              return a.rir == static_cast<uint8_t>(rir);
-            });
-        return net::IntervalSet::set_difference(registry_.administered(rir),
-                                                allocated);
-      });
+  return compute_day(computed_sets_, [&] {
+    const net::IntervalSet allocated = live_space(
+        tables().allocations, d, [&](const Tables::Allocation& a) {
+          return a.rir == static_cast<uint8_t>(rir);
+        });
+    return net::IntervalSet::set_difference(registry_.administered(rir),
+                                            allocated);
+  });
 }
 
-SnapshotCache::SetPtr SnapshotCache::drop_space(net::Date d) const {
-  return get_or_compute(make_key(Substrate::kDrop, d, 0), [&] {
+SnapshotCache::DaySet SnapshotCache::drop_space(net::Date d) const {
+  return compute_day(computed_sets_, [&] {
     net::IntervalSet active;
     for (const net::Prefix& p : drop_.snapshot(d)) active.insert(p);
     return active;
   });
 }
 
-SnapshotCache::SetPtr SnapshotCache::irr_space(net::Date d) const {
-  return get_or_compute(make_key(Substrate::kIrr, d, 0), [&] {
+SnapshotCache::DaySet SnapshotCache::irr_space(net::Date d) const {
+  return compute_day(computed_sets_, [&] {
     net::IntervalSet covered;
     for (const irr::Registration& reg : irr_->all_history()) {
       if (reg.live_on(d)) covered.insert(reg.object.prefix);
@@ -290,18 +252,6 @@ std::vector<SnapshotCache::RouteValidity> SnapshotCache::route_validity(
     out.push_back({net::Prefix(net::Ipv4(route.first), route.length), worst});
   }
   return out;
-}
-
-SnapshotCache::Stats SnapshotCache::stats() const {
-  Stats total;
-  for (Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    total.hits += s.hits;
-    total.misses += s.misses;
-    total.failures += s.failures;
-    total.failure_hits += s.failure_hits;
-  }
-  return total;
 }
 
 }  // namespace droplens::core

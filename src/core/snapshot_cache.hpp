@@ -1,11 +1,10 @@
-// Shared daily-snapshot cache for the analysis engine.
+// Per-day sets for the analysis engine and the snapshot compile.
 //
-// Every longitudinal analysis intersects the same four interval sets per
-// sampled date: routed space (BGP fleet), signed space (ROA archive, per
-// TAL-set and AS0 filter), allocated space / free pools (registry), and the
-// DROP active set. The cache memoizes one immutable IntervalSet per
-// (substrate, date, variant) key behind a sharded mutex-guarded map, so N
-// analyses and N threads share one computation per day.
+// Every longitudinal analysis intersects the same interval sets per sampled
+// date: routed space (BGP fleet), signed space (ROA archive, per TAL-set and
+// AS0 filter), allocated space / free pools (registry), IRR space and the
+// DROP active set. svc::compile_snapshot reads four of them for each day it
+// compiles.
 //
 // Lifetime tables: the fleet, registry and ROA archive each hold their whole
 // history in a node-per-bit trie, so deriving a day from the trie walks all
@@ -19,24 +18,23 @@
 // own trie functions are the oracle the differential tests compare every
 // table scan against (tests/trie_oracle.hpp).
 //
-// Thread safety: the tables are built under std::call_once and immutable
-// afterwards. Memoized sets are get-or-compute under a per-shard mutex and
-// returned as shared_ptr<const IntervalSet>; once published they are never
-// mutated, so readers need no further synchronization. A racing miss on the
-// same key computes at most once per shard lock — the value is pure, so
-// whichever insert wins is byte-identical.
+// Nothing per day is kept. Each accessor computes its set on every call and
+// returns it by value, so a process that compiles many days holds the
+// tables and no more. Each computed set counts once in
+// droplens_cache_misses_total.
 //
-// Degradation: a substrate computation that throws does not abort the run —
-// the failure is cached as a null snapshot (so the day computes-and-fails at
-// most once) and counted in stats().failures. Callers receive nullptr, the
-// engine's "this day is unavailable" signal (see core/engine.hpp).
+// Thread safety: the tables are built under std::call_once and immutable
+// afterwards; that build is the only synchronization. The accessors are
+// pure reads of the tables, so any number of threads may query one cache.
+//
+// Degradation: a substrate computation that throws does not abort the run.
+// The accessor returns an empty DaySet, the engine's "this day is
+// unavailable" signal (see core/engine.hpp).
 #pragma once
 
-#include <array>
-#include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "bgp/fleet.hpp"
@@ -52,7 +50,8 @@ namespace droplens::core {
 
 class SnapshotCache {
  public:
-  using SetPtr = std::shared_ptr<const net::IntervalSet>;
+  /// One day's set, or empty when its computation threw.
+  using DaySet = std::optional<net::IntervalSet>;
 
   /// Throws InvariantError when `irr` is null: irr_space() reads it.
   SnapshotCache(const rir::Registry& registry, const bgp::CollectorFleet& fleet,
@@ -64,24 +63,24 @@ class SnapshotCache {
   SnapshotCache& operator=(const SnapshotCache&) = delete;
 
   /// Address space covered by BGP announcements on `d`.
-  SetPtr routed_space(net::Date d) const;
+  DaySet routed_space(net::Date d) const;
 
   /// Space allocated by all RIRs as of `d`.
-  SetPtr allocated_space(net::Date d) const;
+  DaySet allocated_space(net::Date d) const;
 
   /// Space covered by live ROAs on `d` under `tals`, per AS0 filter.
-  SetPtr signed_space(net::Date d, rpki::TalSet tals,
+  DaySet signed_space(net::Date d, rpki::TalSet tals,
                       rpki::RoaArchive::Filter filter =
                           rpki::RoaArchive::Filter::kAll) const;
 
   /// `rir`'s administered-but-unallocated space on `d` (Fig 7 pools).
-  SetPtr free_pool(rir::Rir rir, net::Date d) const;
+  DaySet free_pool(rir::Rir rir, net::Date d) const;
 
   /// Space actively DROP-listed on `d`.
-  SetPtr drop_space(net::Date d) const;
+  DaySet drop_space(net::Date d) const;
 
   /// Space covered by route objects live in the IRR on `d`.
-  SetPtr irr_space(net::Date d) const;
+  DaySet irr_space(net::Date d) const;
 
   /// One prefix announced on a day, with the worst RFC 6811 validity over
   /// its origins that day (invalid, then valid, then not-found).
@@ -95,60 +94,14 @@ class SnapshotCache {
   /// over CollectorFleet::origins_on, from one merge sweep of the day's
   /// routes against the day's ROAs. The ROAs covering a route form a stack
   /// of nested prefixes, at most 33 deep. An empty `tals` makes every route
-  /// kNotFound. Not memoized.
+  /// kNotFound. Not counted as a computed set.
   std::vector<RouteValidity> route_validity(net::Date d,
                                             rpki::TalSet tals) const;
 
-  struct Stats {
-    size_t hits = 0;
-    size_t misses = 0;
-    size_t failures = 0;      // computations that threw; cached as null days
-    size_t failure_hits = 0;  // hits that returned a memoized failure (null)
-  };
-  /// Aggregate hit/miss counters across shards (diagnostics only; not part
-  /// of the determinism contract). Building the lifetime tables is not a
-  /// miss.
-  Stats stats() const;
-
  private:
-  enum class Substrate : uint8_t {
-    kRouted,
-    kAllocated,
-    kSigned,
-    kFreePool,
-    kDrop,
-    kIrr,
-  };
-
-  // (substrate, date, variant) packed into one key: date in the low 32 bits,
-  // variant (TAL bitmask + filter, or RIR index) above it, substrate on top.
-  static uint64_t make_key(Substrate s, net::Date d, uint32_t variant) {
-    return (uint64_t{static_cast<uint8_t>(s)} << 56) |
-           (uint64_t{variant} << 32) |
-           static_cast<uint32_t>(d.days());
-  }
-
-  template <typename Compute>
-  SetPtr get_or_compute(uint64_t key, Compute&& compute) const;
-
   /// The lifetime tables (defined in the .cpp), built on first use.
   struct Tables;
   const Tables& tables() const;
-
-  static constexpr size_t kShardCount = 16;
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<uint64_t, SetPtr> map;
-    size_t hits = 0;
-    size_t misses = 0;
-    size_t failures = 0;
-    size_t failure_hits = 0;
-    // Registry mirrors of the counters above, bound per shard at
-    // construction (no-op handles when no registry is installed).
-    obs::Counter hits_metric;
-    obs::Counter misses_metric;
-    obs::Counter failure_memo_metric;
-  };
 
   const rir::Registry& registry_;
   const bgp::CollectorFleet& fleet_;
@@ -157,7 +110,7 @@ class SnapshotCache {
   const irr::Database* irr_;  // never null
   mutable std::once_flag tables_once_;
   mutable std::unique_ptr<const Tables> tables_;
-  mutable std::array<Shard, kShardCount> shards_;
+  obs::Counter computed_sets_;  // droplens_cache_misses_total
 };
 
 }  // namespace droplens::core

@@ -1,6 +1,7 @@
 #include "svc/snapshot.hpp"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -218,29 +219,29 @@ std::shared_ptr<const Snapshot> compile_snapshot(const core::Study& study,
   snap->version_ = version;
   snap->date_ = d;
 
-  using core::engine::SetPtr;
+  using core::engine::DaySet;
 
-  // Boolean space fields: one immutable IntervalSet each. A null SetPtr —
-  // ledger-unavailable day or failed substrate computation — leaves the set
-  // empty and flags the feed.
-  if (SetPtr routed = core::engine::routed_space(study, d)) {
-    snap->routed_ = *routed;
+  // Boolean space fields: one IntervalSet each, moved out of its DaySet. An
+  // empty DaySet (ledger-unavailable day or failed substrate computation)
+  // leaves the set empty and flags the feed.
+  if (DaySet routed = core::engine::routed_space(study, d)) {
+    snap->routed_ = std::move(*routed);
   } else {
     snap->degraded_ |= feed_bit(core::Feed::kBgpUpdates);
   }
-  if (SetPtr allocated = core::engine::allocated_space(study, d)) {
-    snap->allocated_ = *allocated;
+  if (DaySet allocated = core::engine::allocated_space(study, d)) {
+    snap->allocated_ = std::move(*allocated);
   } else {
     snap->degraded_ |= feed_bit(core::Feed::kDelegations);
   }
-  if (SetPtr as0 = core::engine::signed_space(study, d, rpki::TalSet::all(),
+  if (DaySet as0 = core::engine::signed_space(study, d, rpki::TalSet::all(),
                                         rpki::RoaArchive::Filter::kAs0Only)) {
-    snap->as0_ = *as0;
+    snap->as0_ = std::move(*as0);
   } else {
     snap->degraded_ |= feed_bit(core::Feed::kRoas);
   }
-  if (SetPtr irr = core::engine::irr_space(study, d)) {
-    snap->irr_ = *irr;
+  if (DaySet irr = core::engine::irr_space(study, d)) {
+    snap->irr_ = std::move(*irr);
   } else {
     snap->degraded_ |= feed_bit(core::Feed::kIrr);
   }
@@ -288,8 +289,9 @@ std::shared_ptr<const Snapshot> compile_snapshot(const core::Study& study,
 
   snap->rir_ = administering_rirs(study.registry);
 
-  // The interval sets were copied from the engine's cached (index-less)
-  // sets; the finalize() calls above already indexed the segment maps.
+  // from_sorted, from_nested and finalize() already indexed the scanned
+  // sets and the segment maps. This indexes the rest (the IRR set is grown
+  // by insert()) and skips what is built.
   snap->build_indexes();
 
   return snap;

@@ -5,20 +5,23 @@
 // from flat lifetime tables; compile_snapshot paints ROV with a
 // longest-match sweep. The trie functions and the trie compile
 // (trie_oracle.hpp) are the oracles:
-//   1. every cached set equals its trie function on 30+ small-world days and
-//      5 paper-scale days, and route_validity() equals the validate_route
-//      fold over origins_on;
+//   1. every set the cache computes equals its trie function on 30+
+//      small-world days and 5 paper-scale days, and route_validity() equals
+//      the validate_route fold over origins_on;
 //   2. compile_snapshot serializes to the same bytes as the trie compile,
 //      also when a DataQuality ledger drops BGP, ROA, delegation, IRR and
 //      DROP-feed days, each alone and all five on one day;
 //   3. pool threads racing the first query of a fresh cache all see the same
 //      tables (the lazy-build race, a TSan gate);
-//   4. a cached compile runs no pool task.
+//   4. the cache keeps no day: a second compile of a day computes every set
+//      again and gives the same bytes;
+//   5. a cached compile runs no pool task.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/data_quality.hpp"
@@ -53,8 +56,21 @@ void expect_route_validity_eq(
   }
 }
 
-/// Every cached set on `d` against its trie function, on a cache shared
-/// across days (the way the engine uses it).
+/// The sets computed so far: every series of the cache's counter family,
+/// summed the way the benchmark ledger reads it.
+uint64_t sets_computed(const obs::Registry& reg) {
+  uint64_t total = 0;
+  for (const obs::Registry::FamilySnapshot& f : reg.snapshot()) {
+    if (f.name != "droplens_cache_misses_total") continue;
+    for (const obs::Registry::SeriesSnapshot& series : f.series) {
+      total += series.counter;
+    }
+  }
+  return total;
+}
+
+/// Every set the cache computes on `d` against its trie function, on a
+/// cache shared across days (the way the engine uses it).
 void expect_tables_match_tries(const core::SnapshotCache& cache,
                                const sim::World& w, net::Date d) {
   SCOPED_TRACE(d.to_string());
@@ -167,9 +183,12 @@ TEST_F(CompileTablesTest, FirstQueriesRacingOnAFreshCacheAgree) {
       oracle::route_validity(world_->fleet, world_->roas, d,
                              rpki::TalSet::defaults());
   util::ThreadPool pool(4);
+  obs::Registry reg;
+  obs::ScopedRegistry scoped(reg);
   for (int round = 0; round < 8; ++round) {
     core::SnapshotCache cache(world_->registry, world_->fleet, world_->roas,
                               world_->drop, &world_->irr);
+    const uint64_t before = sets_computed(reg);
     std::atomic<int> waiting{4};
     std::vector<int> ok(4, 0);
     pool.parallel_for(4, [&](size_t i) {
@@ -199,9 +218,36 @@ TEST_F(CompileTablesTest, FirstQueriesRacingOnAFreshCacheAgree) {
       }
     });
     EXPECT_EQ(ok, std::vector<int>(4, 1)) << "round " << round;
-    // Three memo misses; the table build is not one.
-    EXPECT_EQ(cache.stats().misses, 3u);
+    // Three computed sets; the table build and route_validity are not.
+    EXPECT_EQ(sets_computed(reg) - before, 3u) << "round " << round;
   }
+}
+
+// The cache keeps no day: compiling the same day a second time computes
+// every set again, as many as the first compile did, and gives the same
+// bytes.
+TEST_F(CompileTablesTest, RecompilingADayComputesEverySetAgain) {
+  obs::Registry reg;
+  obs::ScopedRegistry scoped(reg);
+  core::SnapshotCache cache(world_->registry, world_->fleet, world_->roas,
+                            world_->drop, &world_->irr);
+  core::Study s = study_of(*world_);
+  const core::DropIndex index = core::DropIndex::build(s);
+  s.snapshots = &cache;
+  const net::Date d = world_->config.window_begin + 90;
+
+  // The sets one compile computes, and its bytes.
+  auto compile = [&] {
+    const uint64_t before = sets_computed(reg);
+    std::string bytes =
+        svc::serialize_snapshot(*svc::compile_snapshot(s, index, d, 1));
+    return std::make_pair(sets_computed(reg) - before, std::move(bytes));
+  };
+  const auto [first_sets, first] = compile();
+  const auto [second_sets, second] = compile();
+  EXPECT_EQ(first_sets, 4u);  // routed, allocated, AS0-signed and IRR space
+  EXPECT_EQ(second_sets, first_sets);
+  EXPECT_EQ(second, first);
 }
 
 TEST_F(CompileTablesTest, CachedCompileRunsNoPoolTask) {

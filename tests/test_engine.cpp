@@ -1,4 +1,4 @@
-// Concurrency layer: ThreadPool semantics, SnapshotCache sharing, the
+// Concurrency layer: ThreadPool semantics, SnapshotCache lookups, the
 // engine determinism guard (1-thread vs N-thread reports must be
 // byte-identical), and the cache contract: a Study without a SnapshotCache,
 // or a cache without an IRR database, is an InvariantError. Labelled
@@ -134,24 +134,25 @@ class EngineWorldTest : public ::testing::Test {
 sim::ScenarioConfig* EngineWorldTest::config_ = nullptr;
 sim::World* EngineWorldTest::world_ = nullptr;
 
-TEST_F(EngineWorldTest, SnapshotCacheSharesOneComputationPerDay) {
+// Each call computes its set again from the lifetime tables: the same day
+// gives an equal set, and each variant equals its substrate's trie function.
+TEST_F(EngineWorldTest, SnapshotCacheRecomputesEqualSetsPerDay) {
   core::SnapshotCache cache(world_->registry, world_->fleet, world_->roas,
                             world_->drop, &world_->irr);
   net::Date d = config_->window_begin + 30;
   auto first = cache.routed_space(d);
   auto second = cache.routed_space(d);
-  EXPECT_EQ(first.get(), second.get());  // same immutable snapshot
+  ASSERT_TRUE(first && second);
+  EXPECT_EQ(*first, *second);
   EXPECT_EQ(*first, world_->fleet.routed_space(d));
 
   auto signed_all = cache.signed_space(d, rpki::TalSet::defaults());
   auto signed_nonas0 = cache.signed_space(
       d, rpki::TalSet::defaults(), rpki::RoaArchive::Filter::kNonAs0Only);
-  EXPECT_NE(signed_all.get(), signed_nonas0.get());  // distinct variants
   EXPECT_EQ(*signed_all, world_->roas.signed_space(d));
-
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 3u);
-  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(*signed_nonas0,
+            world_->roas.signed_space(d, rpki::TalSet::defaults(),
+                                      rpki::RoaArchive::Filter::kNonAs0Only));
 }
 
 TEST_F(EngineWorldTest, SnapshotCacheCoversAllSubstrates) {

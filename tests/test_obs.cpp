@@ -445,6 +445,27 @@ TEST(Service, ServerPrefersInstalledRegistry) {
   EXPECT_EQ(reg.counter("droplens_svc_requests_total").value(), 1u);
 }
 
+/// One "name type {label keys}" line per registered family, in name order.
+std::vector<std::string> catalogue_of(const obs::Registry& reg) {
+  constexpr const char* kTypeNames[] = {"counter", "gauge", "histogram"};
+  std::vector<std::string> catalogue;
+  for (const obs::Registry::FamilySnapshot& f : reg.snapshot()) {
+    std::set<std::string> key_sets;  // one per family: every series agrees
+    for (const obs::Registry::SeriesSnapshot& series : f.series) {
+      std::string keys;
+      for (const auto& [key, value] : series.labels) {
+        keys += (keys.empty() ? "" : ",") + key;
+      }
+      key_sets.insert(keys);
+    }
+    EXPECT_EQ(key_sets.size(), 1u) << f.name;
+    catalogue.push_back(f.name + " " +
+                        kTypeNames[static_cast<size_t>(f.type)] + " {" +
+                        (key_sets.empty() ? "" : *key_sets.begin()) + "}");
+  }
+  return catalogue;
+}
+
 // The serving stack's series names, types and label keys, pinned so that a
 // rename is a deliberate edit of this list rather than a silent break of
 // every dashboard and alert scraping them.
@@ -457,22 +478,6 @@ TEST(Metrics, ServingCatalogueIsPinned) {
   o.name = "query";
   svc::EpollServer front(server, o);
 
-  constexpr const char* kTypeNames[] = {"counter", "gauge", "histogram"};
-  std::vector<std::string> catalogue;
-  for (const obs::Registry::FamilySnapshot& f : reg.snapshot()) {
-    std::set<std::string> key_sets;  // one per family: every series agrees
-    for (const obs::Registry::SeriesSnapshot& series : f.series) {
-      std::string keys;
-      for (const auto& [key, value] : series.labels) {
-        keys += (keys.empty() ? "" : ",") + key;
-      }
-      key_sets.insert(keys);
-    }
-    ASSERT_EQ(key_sets.size(), 1u) << f.name;
-    catalogue.push_back(f.name + " " +
-                        kTypeNames[static_cast<size_t>(f.type)] + " {" +
-                        *key_sets.begin() + "}");
-  }
   const std::vector<std::string> pinned = {
       "droplens_store_resident_days gauge {}",
       "droplens_svc_field_lookups_total counter {field}",
@@ -493,7 +498,37 @@ TEST(Metrics, ServingCatalogueIsPinned) {
       "{transport,listener}",
       "droplens_transport_shed_total counter {transport,listener,class}",
   };
-  EXPECT_EQ(catalogue, pinned);
+  EXPECT_EQ(catalogue_of(reg), pinned);
+}
+
+// The engine's families, pinned the same way: the pool's, the one cache
+// counter (every lookup computes its set, so there is no hit to count) and
+// the compile count.
+TEST(Metrics, EngineCatalogueIsPinned) {
+  const sim::ScenarioConfig config = sim::ScenarioConfig::small();
+  const std::unique_ptr<sim::World> world = sim::generate(config);
+  obs::Registry reg;
+  obs::ScopedRegistry scoped(reg);
+  util::ThreadPool pool(2);
+  core::SnapshotCache cache(world->registry, world->fleet, world->roas,
+                            world->drop, &world->irr);
+  core::Study study{world->registry, world->fleet, world->irr,  world->roas,
+                    world->drop,     world->sbl,   config.window_begin,
+                    config.window_end};
+  study.pool = &pool;
+  study.snapshots = &cache;
+  const core::DropIndex index = core::DropIndex::build(study);
+  (void)svc::compile_snapshot(study, index, config.window_begin + 30, 1);
+
+  const std::vector<std::string> pinned = {
+      "droplens_cache_misses_total counter {}",
+      "droplens_pool_queue_depth gauge {}",
+      "droplens_pool_task_latency_ns histogram {}",
+      "droplens_pool_tasks_completed_total counter {}",
+      "droplens_pool_tasks_submitted_total counter {}",
+      "droplens_svc_snapshot_compiles_total counter {}",
+  };
+  EXPECT_EQ(catalogue_of(reg), pinned);
 }
 
 // The cornerstone contract: observability never changes analysis output.

@@ -4,11 +4,13 @@
 // targets in detail). Runs in ~15 s.
 #include <gtest/gtest.h>
 
+#include "core/alarms.hpp"
 #include "core/as0_analysis.hpp"
 #include "core/case_study.hpp"
 #include "core/classification.hpp"
 #include "core/drop_index.hpp"
 #include "core/irr_analysis.hpp"
+#include "core/irr_whatif.hpp"
 #include "core/roa_status.hpp"
 #include "core/rpki_uptake.hpp"
 #include "core/defenses.hpp"
@@ -207,6 +209,28 @@ TEST_F(PaperScaleTest, ExtensionSerialHijackers) {
     EXPECT_GE(p.asn.value(), 61000u) << p.asn.to_string();
     EXPECT_LT(p.asn.value(), 61100u) << p.asn.to_string();
   }
+}
+
+TEST_F(PaperScaleTest, ExtensionPhasAlarms) {
+  AlarmResult r = analyze_alarms(*study_, *index_);
+  // A PHAS-style monitor watches announced space, so nearly every DROP
+  // hijack, on abandoned never-announced space or under the historic
+  // origin, trips nothing.
+  EXPECT_EQ(r.alarms.size(), 8u);
+  EXPECT_EQ(r.drop_hijacks_total, 179);
+  EXPECT_EQ(r.drop_hijacks_alarmed, 3);
+  EXPECT_EQ(r.drop_hijacks_stealthy, 176);
+}
+
+TEST_F(PaperScaleTest, ExtensionAuthenticatedIrr) {
+  IrrWhatIfResult r = analyze_irr_whatif(*study_);
+  // The holder check rejects the 57 forged hijack objects (§5), but every
+  // object on fraudulently allocated incident space still passes.
+  EXPECT_EQ(r.registrations_replayed, 231);
+  EXPECT_EQ(r.accepted, 172);
+  EXPECT_EQ(r.rejected, 59);
+  EXPECT_EQ(r.rejected_forged, 57);
+  EXPECT_EQ(r.accepted_incident, 45);
 }
 
 }  // namespace
