@@ -30,10 +30,6 @@
 #include "net/interval_set.hpp"
 #include "net/prefix_trie.hpp"
 #include "rpki/archive.hpp"
-#include "rpki/repository_builder.hpp"
-#include "rpki/rtr.hpp"
-#include "rpki/validator.hpp"
-#include "rpki/authority.hpp"
 #include "sim/rng.hpp"
 
 using namespace droplens;
@@ -193,61 +189,6 @@ void BM_SblClassifier(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SblClassifier);
-
-void BM_RtrFullSync(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  std::vector<net::Prefix> prefixes = random_prefixes(n, 21);
-  std::vector<rpki::Vrp> vrps;
-  for (size_t i = 0; i < prefixes.size(); ++i) {
-    vrps.push_back(rpki::Vrp{prefixes[i], prefixes[i].length(),
-                             net::Asn(static_cast<uint32_t>(i + 1))});
-  }
-  rpki::RtrServer server(1);
-  server.update(vrps);
-  for (auto _ : state) {
-    rpki::RtrClient client;
-    client.consume(server.handle(rpki::parse_pdus(client.poll())[0]));
-    benchmark::DoNotOptimize(client.table_size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RtrFullSync)->Arg(1000)->Arg(10000);
-
-void BM_ValidatorTreeWalk(benchmark::State& state) {
-  // One TA, N delegated CAs with one ROA each.
-  size_t n = static_cast<size_t>(state.range(0));
-  net::IntervalSet space;
-  space.insert(net::Prefix::parse("10.0.0.0/8"));
-  net::Date now(19000);
-  net::DateRange validity{now - 365, now + 365};
-  rpki::CertificateAuthority ta =
-      rpki::CertificateAuthority::trust_anchor("TA", 1, space, validity);
-  rpki::RpkiRepository repo;
-  std::vector<rpki::CertificateAuthority> children;
-  for (size_t i = 0; i < n; ++i) {
-    net::Prefix block = net::Prefix::containing(
-        net::Ipv4(static_cast<uint32_t>((10u << 24) + (i << 12))), 20);
-    net::IntervalSet child_space;
-    child_space.insert(block);
-    children.push_back(ta.delegate("ca" + std::to_string(i), 100 + i,
-                                   child_space, validity));
-    children.back().issue_roa(
-        rpki::Roa(block, net::Asn(static_cast<uint32_t>(i + 1)),
-                  rpki::Tal::kRipe),
-        validity);
-  }
-  for (auto& child : children) {
-    repo.points.emplace_back(child.name(), child.publish(now));
-  }
-  repo.points.emplace_back("TA", ta.publish(now));
-  std::vector<rpki::TrustAnchorLocator> tals = {ta.tal()};
-  for (auto _ : state) {
-    rpki::ValidatorOutput out = rpki::run_validator(repo, tals, now);
-    benchmark::DoNotOptimize(out.vrps.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ValidatorTreeWalk)->Arg(64)->Arg(512);
 
 // ---------------------------------------------------------------------------
 // Full-table search: the flat sorted array every snapshot substrate ends in,

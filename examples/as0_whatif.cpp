@@ -7,6 +7,9 @@
 //   (3) RIRs+operators:  additionally, every RIR covers its free pool
 //
 //   $ ./as0_whatif [--full]
+//
+// Any other argument prints the usage line and exits 2 before the world is
+// generated.
 #include <cstring>
 #include <iostream>
 
@@ -15,8 +18,21 @@
 
 using namespace droplens;
 
+namespace {
+
+int usage(const char* arg) {
+  std::cerr << "unknown argument: " << arg << "\nusage: as0_whatif [--full]\n";
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  bool full = argc > 1 && std::strcmp(argv[1], "--full") == 0;
+  bool full = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--full") != 0) return usage(argv[i]);
+    full = true;
+  }
   sim::ScenarioConfig config =
       full ? sim::ScenarioConfig{} : sim::ScenarioConfig::small();
   std::unique_ptr<sim::World> world = sim::generate(config);

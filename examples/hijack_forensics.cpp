@@ -4,11 +4,16 @@
 //
 //   $ ./hijack_forensics [prefix]       (default: 132.255.0.0/22)
 //   $ ./hijack_forensics --full [prefix]
+//
+// Any other flag, a second prefix, or a prefix that does not parse prints
+// the usage line and exits 2 before the world is generated.
 #include <cstring>
 #include <iostream>
+#include <optional>
 
 #include "core/study.hpp"
 #include "sim/generator.hpp"
+#include "util/error.hpp"
 #include "util/text_table.hpp"
 
 using namespace droplens;
@@ -19,22 +24,37 @@ std::string date_or_open(net::Date d) {
   return d == net::DateRange::unbounded() ? "..." : d.to_string();
 }
 
+int usage(const std::string& why) {
+  std::cerr << why << "\nusage: hijack_forensics [--full] [prefix]\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool full = false;
-  std::string target = "132.255.0.0/22";
+  std::optional<net::Prefix> target;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) {
+    const char* arg = argv[i];
+    if (std::strcmp(arg, "--full") == 0) {
       full = true;
+    } else if (std::strncmp(arg, "--", 2) == 0 || target) {
+      return usage(std::string("unexpected argument: ") + arg);
     } else {
-      target = argv[i];
+      try {
+        target = net::Prefix::parse(arg);
+      } catch (const ParseError& e) {
+        return usage(e.what());
+      } catch (const InvariantError& e) {
+        return usage(e.what());
+      }
     }
   }
+  const net::Prefix prefix =
+      target.value_or(net::Prefix::parse("132.255.0.0/22"));
   sim::ScenarioConfig config =
       full ? sim::ScenarioConfig{} : sim::ScenarioConfig::small();
   std::unique_ptr<sim::World> world = sim::generate(config);
-  net::Prefix prefix = net::Prefix::parse(target);
 
   std::cout << "=== Forensic report for " << prefix.to_string() << " ===\n";
 

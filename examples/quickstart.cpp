@@ -4,7 +4,8 @@
 //   $ ./quickstart [--full]
 //
 // --full runs the paper-scale scenario (a few seconds and ~1 GB of RAM);
-// the default small scenario finishes in milliseconds.
+// the default small scenario finishes in milliseconds. Any other argument
+// prints the usage line and exits 2 before the world is generated.
 #include <cstring>
 #include <iostream>
 
@@ -22,8 +23,21 @@
 
 using namespace droplens;
 
+namespace {
+
+int usage(const char* arg) {
+  std::cerr << "unknown argument: " << arg << "\nusage: quickstart [--full]\n";
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  bool full = argc > 1 && std::strcmp(argv[1], "--full") == 0;
+  bool full = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--full") != 0) return usage(argv[i]);
+    full = true;
+  }
   sim::ScenarioConfig config =
       full ? sim::ScenarioConfig{} : sim::ScenarioConfig::small();
 

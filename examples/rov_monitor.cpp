@@ -5,6 +5,9 @@
 // during the study window.
 //
 //   $ ./rov_monitor [--full] [--with-as0-tals]
+//
+// Any other argument prints the usage line and exits 2 before the world is
+// generated.
 #include <cstring>
 #include <iostream>
 #include <map>
@@ -15,12 +18,27 @@
 
 using namespace droplens;
 
+namespace {
+
+int usage(const char* arg) {
+  std::cerr << "unknown argument: " << arg
+            << "\nusage: rov_monitor [--full] [--with-as0-tals]\n";
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   bool full = false;
   bool with_as0 = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) full = true;
-    if (std::strcmp(argv[i], "--with-as0-tals") == 0) with_as0 = true;
+    if (std::strcmp(argv[i], "--full") == 0) {
+      full = true;
+    } else if (std::strcmp(argv[i], "--with-as0-tals") == 0) {
+      with_as0 = true;
+    } else {
+      return usage(argv[i]);
+    }
   }
   sim::ScenarioConfig config =
       full ? sim::ScenarioConfig{} : sim::ScenarioConfig::small();

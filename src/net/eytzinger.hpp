@@ -93,8 +93,8 @@ class EytzingerIndex {
     assert(built());
     static constexpr size_t kLanes = 16;
     static constexpr uint32_t kAhead = 4;  // prefetch depth, log2(16)
-    size_t i = 0;
-    for (; i + kLanes <= xs.size(); i += kLanes) {
+    const size_t full = xs.size() - xs.size() % kLanes;
+    for (size_t i = 0; i < full; i += kLanes) {
       size_t k[kLanes];
       for (size_t j = 0; j < kLanes; ++j) k[j] = 1;
       for (uint32_t lvl = 0; lvl < levels_; ++lvl) {
@@ -117,7 +117,7 @@ class EytzingerIndex {
         out[i + j] = r == 0 ? static_cast<uint32_t>(n_) : rank_[r];
       }
     }
-    for (; i < xs.size(); ++i) out[i] = upper_bound(xs[i]);
+    for (size_t i = full; i < xs.size(); ++i) out[i] = upper_bound(xs[i]);
   }
 
  private:

@@ -1,7 +1,5 @@
 #include "rpki/rtr.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace droplens::rpki {
@@ -185,182 +183,6 @@ std::vector<Pdu> parse_pdus(std::string_view bytes) {
     out.push_back(std::move(pdu));
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// RtrServer
-
-uint32_t RtrServer::update(std::vector<Vrp> vrps) {
-  std::sort(vrps.begin(), vrps.end());
-  vrps.erase(std::unique(vrps.begin(), vrps.end()), vrps.end());
-  Diff diff;
-  std::set_difference(vrps.begin(), vrps.end(), current_.begin(),
-                      current_.end(), std::back_inserter(diff.announced));
-  std::set_difference(current_.begin(), current_.end(), vrps.begin(),
-                      vrps.end(), std::back_inserter(diff.withdrawn));
-  current_ = std::move(vrps);
-  ++serial_;
-  diffs_[serial_] = std::move(diff);
-  return serial_;
-}
-
-std::string RtrServer::handle(const Pdu& query) const {
-  std::string out;
-  auto emit = [&](const Pdu& pdu) { out += serialize_pdu(pdu); };
-  auto end_of_data = [&] {
-    Pdu eod;
-    eod.type = PduType::kEndOfData;
-    eod.session_id = session_id_;
-    eod.serial = serial_;
-    emit(eod);
-  };
-  auto prefix_pdu = [&](const Vrp& vrp, bool announce) {
-    Pdu p;
-    p.type = PduType::kIpv4Prefix;
-    p.announce = announce;
-    p.vrp = vrp;
-    emit(p);
-  };
-
-  if (query.type == PduType::kResetQuery) {
-    Pdu resp;
-    resp.type = PduType::kCacheResponse;
-    resp.session_id = session_id_;
-    emit(resp);
-    for (const Vrp& vrp : current_) prefix_pdu(vrp, true);
-    end_of_data();
-    return out;
-  }
-  if (query.type == PduType::kSerialQuery) {
-    // RFC 1982 comparisons: a router serial "ahead" of ours, or behind by
-    // more than we retain diffs for, gets a Cache Reset. Plain integer
-    // compares here used to wedge every session into a full resync the
-    // moment the serial wrapped past 2^32.
-    if (query.session_id != session_id_ || serial_lt(serial_, query.serial) ||
-        (serial_lt(query.serial, serial_) &&
-         !diffs_.contains(query.serial + 1))) {
-      Pdu reset;
-      reset.type = PduType::kCacheReset;
-      emit(reset);
-      return out;
-    }
-    Pdu resp;
-    resp.type = PduType::kCacheResponse;
-    resp.session_id = session_id_;
-    emit(resp);
-    // Walk the serial space modulo 2^32; `s <= serial_` never terminates
-    // across a wrap.
-    for (uint32_t s = query.serial; s != serial_;) {
-      ++s;
-      const Diff& diff = diffs_.at(s);
-      for (const Vrp& vrp : diff.announced) prefix_pdu(vrp, true);
-      for (const Vrp& vrp : diff.withdrawn) prefix_pdu(vrp, false);
-    }
-    end_of_data();
-    return out;
-  }
-  Pdu error;
-  error.type = PduType::kErrorReport;
-  error.error_code = 3;  // invalid request
-  error.error_text = "unexpected PDU";
-  return serialize_pdu(error);
-}
-
-std::string RtrServer::notify() const {
-  Pdu pdu;
-  pdu.type = PduType::kSerialNotify;
-  pdu.session_id = session_id_;
-  pdu.serial = serial_;
-  return serialize_pdu(pdu);
-}
-
-// ---------------------------------------------------------------------------
-// RtrClient
-
-std::string RtrClient::poll() const {
-  Pdu pdu;
-  if (serial_ && session_id_) {
-    pdu.type = PduType::kSerialQuery;
-    pdu.session_id = *session_id_;
-    pdu.serial = *serial_;
-  } else {
-    pdu.type = PduType::kResetQuery;
-  }
-  return serialize_pdu(pdu);
-}
-
-void RtrClient::consume(std::string_view bytes) {
-  for (const Pdu& pdu : parse_pdus(bytes)) {
-    switch (pdu.type) {
-      case PduType::kCacheResponse:
-        if (session_id_ && *session_id_ != pdu.session_id) {
-          throw ParseError("RTR: session id changed mid-stream");
-        }
-        session_id_ = pdu.session_id;
-        in_response_ = true;
-        break;
-      case PduType::kIpv4Prefix:
-        if (!in_response_) {
-          throw ParseError("RTR: prefix PDU outside cache response");
-        }
-        if (pdu.announce) {
-          table_.insert(pdu.vrp);
-        } else {
-          table_.erase(pdu.vrp);
-        }
-        break;
-      case PduType::kEndOfData:
-        if (!in_response_) {
-          throw ParseError("RTR: end-of-data outside cache response");
-        }
-        serial_ = pdu.serial;
-        in_response_ = false;
-        pending_recoveries_ = 0;  // a completed sync clears the retry budget
-        break;
-      case PduType::kCacheReset:
-        // Full resync required: drop state; the next poll() is a reset query.
-        reset_session();
-        break;
-      case PduType::kSerialNotify:
-        break;  // informational; caller decides when to poll
-      case PduType::kErrorReport:
-        // Not fatal by itself: drop the session and resync, like a router
-        // would. Only a cache that errors out on every attempt gets the
-        // exception, after the retry budget runs dry.
-        last_error_ = "cache reported error " +
-                      std::to_string(pdu.error_code) + ": " + pdu.error_text;
-        reset_session();
-        if (pending_recoveries_ > kMaxRecoveries) {
-          throw ParseError("RTR: giving up after " +
-                           std::to_string(kMaxRecoveries) +
-                           " failed resyncs; last: " + last_error_);
-        }
-        break;
-      default:
-        throw ParseError("RTR: unexpected PDU from cache");
-    }
-  }
-}
-
-void RtrClient::reset_session() {
-  table_.clear();
-  session_id_.reset();
-  serial_.reset();
-  in_response_ = false;
-  ++pending_recoveries_;
-}
-
-Validity RtrClient::validate(const net::Prefix& p, net::Asn origin) const {
-  bool covered = false;
-  for (const Vrp& vrp : table_) {
-    if (!vrp.prefix.contains(p)) continue;
-    covered = true;
-    if (origin == vrp.asn && !vrp.asn.is_as0() &&
-        p.length() <= vrp.max_length) {
-      return Validity::kValid;
-    }
-  }
-  return covered ? Validity::kInvalid : Validity::kNotFound;
 }
 
 }  // namespace droplens::rpki

@@ -1,23 +1,21 @@
-// RPKI-to-Router protocol (RFC 8210, IPv4 subset).
+// RPKI-to-Router protocol (RFC 8210, IPv4 subset): the PDU codec.
 //
-// The delivery path between a relying-party validator and a router doing
-// ROV: the router opens a session, the cache streams validated ROA payloads
-// (VRPs) and incremental updates keyed by serial numbers. We implement the
-// PDU wire format (big-endian, version 1) and an in-memory cache/router
-// pair, so the full pipeline — CA tree → validator → VRPs → RTR → ROV —
-// runs end to end.
+// The delivery path between a relying-party cache and a router doing ROV:
+// the router opens a session, the cache streams validated ROA payloads
+// (VRPs) and incremental updates keyed by serial numbers. This file is the
+// wire format only (big-endian, version 1): a PDU value type, its
+// serializer, a parser that rejects malformed bytes with a ParseError, and
+// the RFC 1982 serial comparison. Serving RTR as a projection of
+// `stream::EventLog` (ROADMAP item 5) builds on this codec.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
-#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/asn.hpp"
 #include "net/prefix.hpp"
-#include "rpki/archive.hpp"
 
 namespace droplens::rpki {
 
@@ -26,11 +24,6 @@ struct Vrp {
   net::Prefix prefix;
   int max_length = 0;
   net::Asn asn;
-
-  static Vrp from_roa(const Roa& roa) {
-    return Vrp{roa.prefix, roa.max_length, roa.asn};
-  }
-  friend auto operator<=>(const Vrp&, const Vrp&) = default;
 };
 
 enum class PduType : uint8_t {
@@ -70,90 +63,5 @@ std::string serialize_pdu(const Pdu& pdu);
 /// Parse a buffer of concatenated PDUs. Throws ParseError on malformed
 /// input (bad version, bad length, unknown type).
 std::vector<Pdu> parse_pdus(std::string_view bytes);
-
-/// The cache side (validator): holds the current VRP set under a serial,
-/// remembers diffs so routers can sync incrementally.
-class RtrServer {
- public:
-  /// `start_serial` sets the serial the first update() increments from —
-  /// production caches start at 0; tests start near 0xffffffff to exercise
-  /// the wraparound.
-  explicit RtrServer(uint16_t session_id, uint32_t start_serial = 0)
-      : session_id_(session_id), serial_(start_serial) {}
-
-  /// Install a new VRP snapshot; the serial increments and the diff from
-  /// the previous snapshot is retained for serial queries.
-  uint32_t update(std::vector<Vrp> vrps);
-
-  /// Handle one client PDU (reset query / serial query), returning the
-  /// response PDU stream as wire bytes.
-  std::string handle(const Pdu& query) const;
-
-  /// A Serial Notify PDU to push at clients after update().
-  std::string notify() const;
-
-  uint32_t serial() const { return serial_; }
-  uint16_t session_id() const { return session_id_; }
-
- private:
-  struct Diff {
-    std::vector<Vrp> announced;
-    std::vector<Vrp> withdrawn;
-  };
-
-  uint16_t session_id_;
-  uint32_t serial_;  // wraps modulo 2^32; compare with serial_lt only
-  std::vector<Vrp> current_;
-  std::map<uint32_t, Diff> diffs_;  // serial s -> changes from s-1 to s
-};
-
-/// The router side: consumes PDU streams, maintains the VRP table, and
-/// answers RFC 6811 validation queries from it.
-///
-/// Session recovery: a Cache Reset or an Error Report PDU does not throw —
-/// real caches emit both mid-stream (RFC 8210 §8) and a router that aborts
-/// on them never resyncs. Instead the client drops its session state and
-/// answers the next poll() with a Reset Query, up to kMaxRecoveries
-/// consecutive times; only when the cache keeps erroring past that bound
-/// does consume() throw, so a wedged cache still surfaces as an error.
-class RtrClient {
- public:
-  /// Consecutive resync attempts tolerated before consume() gives up and
-  /// throws. A successful End Of Data resets the counter.
-  static constexpr int kMaxRecoveries = 3;
-
-  /// Bytes the client sends to start or refresh a session.
-  std::string poll() const;
-
-  /// Feed a server response; updates the table. Throws ParseError on a
-  /// protocol violation (wrong session id, data outside a cache response)
-  /// or when the cache errors out kMaxRecoveries times in a row.
-  void consume(std::string_view bytes);
-
-  Validity validate(const net::Prefix& p, net::Asn origin) const;
-
-  size_t table_size() const { return table_.size(); }
-  std::optional<uint32_t> serial() const { return serial_; }
-  std::vector<Vrp> table() const {
-    return std::vector<Vrp>(table_.begin(), table_.end());
-  }
-
-  /// True after a Cache Reset / Error Report dropped the session; the next
-  /// poll() is a Reset Query that rebuilds the table from scratch.
-  bool needs_resync() const { return pending_recoveries_ > 0; }
-  int pending_recoveries() const { return pending_recoveries_; }
-  /// Text of the last Error Report received (empty if none).
-  const std::string& last_error() const { return last_error_; }
-
- private:
-  void reset_session();
-
-  std::optional<uint16_t> session_id_;
-  std::optional<uint32_t> serial_;
-  bool in_response_ = false;
-  int pending_recoveries_ = 0;
-  std::string last_error_;
-  std::set<Vrp> table_;
-};
 
 }  // namespace droplens::rpki

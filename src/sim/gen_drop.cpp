@@ -531,14 +531,17 @@ void Generator::realize(DropPlan& plan, int index) {
 
   // Registry. Incident prefixes were genuinely (if fraudulently) allocated
   // to the registering ORG; other legit route objects belong to the actual
-  // holder; hijacked prefixes belong to a victim the hijacker is not.
+  // holder; hijacked prefixes belong to a victim the hijacker is not, and
+  // so do prefixes with a hijack second label whose owner left a route
+  // object (the IRR block below registers it under the same victim name).
   if (plan.allocated && !w_->registry.allocation_on(prefix, plan.listed)) {
     std::string holder;
     if (plan.irr_org.starts_with("ORG-INCIDENT")) {
       holder = plan.irr_org;
-    } else if (plan.primary == drop::Category::kHijacked) {
+    } else if (plan.primary == drop::Category::kHijacked ||
+               (plan.legit_irr && plan.second_label_hj)) {
       holder = "victim-org-" + std::to_string(index);
-    } else if (plan.legit_irr && !plan.second_label_hj) {
+    } else if (plan.legit_irr) {
       holder = plan.irr_org;
     } else {
       holder = "org-" + std::to_string(index);

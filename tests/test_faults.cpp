@@ -21,7 +21,6 @@
 #include "net/prefix.hpp"
 #include "rir/delegation.hpp"
 #include "rpki/roa_csv.hpp"
-#include "rpki/rtr.hpp"
 #include "sim/fault_injector.hpp"
 #include "util/error.hpp"
 #include "util/parse_report.hpp"
@@ -379,83 +378,6 @@ TEST(ParseReport, CapsDiagnosticsButKeepsCounting) {
   EXPECT_EQ(report.skipped(), 3 * ParseReport::kMaxDiagnostics);
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.summary().find("big.feed"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// RTR session recovery (tentpole part 4): cache errors resync, not abort.
-
-TEST(RtrRecovery, ErrorReportResyncsInsteadOfThrowing) {
-  rpki::RtrServer server(11);
-  server.update({rpki::Vrp{net::Prefix::parse("10.0.0.0/16"), 16,
-                           net::Asn(1)}});
-  rpki::RtrClient client;
-  client.consume(server.handle(rpki::parse_pdus(client.poll())[0]));
-  ASSERT_EQ(client.table_size(), 1u);
-  ASSERT_FALSE(client.needs_resync());
-
-  // The cache answers a malformed query with an Error Report. The client
-  // must drop the session and come back with a Reset Query, not throw.
-  rpki::Pdu bogus;
-  bogus.type = rpki::PduType::kEndOfData;
-  std::string error_bytes = server.handle(bogus);
-  EXPECT_NO_THROW(client.consume(error_bytes));
-  EXPECT_TRUE(client.needs_resync());
-  EXPECT_EQ(client.table_size(), 0u);
-  EXPECT_NE(client.last_error().find("error 3"), std::string::npos)
-      << client.last_error();
-
-  std::vector<rpki::Pdu> next = rpki::parse_pdus(client.poll());
-  ASSERT_EQ(next.size(), 1u);
-  EXPECT_EQ(next[0].type, rpki::PduType::kResetQuery);
-  client.consume(server.handle(next[0]));
-  EXPECT_EQ(client.table_size(), 1u);
-  EXPECT_FALSE(client.needs_resync());  // End Of Data clears the budget
-  EXPECT_EQ(client.pending_recoveries(), 0);
-}
-
-TEST(RtrRecovery, RetryBudgetBoundsConsecutiveErrors) {
-  rpki::Pdu err;
-  err.type = rpki::PduType::kErrorReport;
-  err.error_code = 2;
-  err.error_text = "no data available";
-  std::string wire = rpki::serialize_pdu(err);
-
-  rpki::RtrClient client;
-  for (int i = 1; i <= rpki::RtrClient::kMaxRecoveries; ++i) {
-    EXPECT_NO_THROW(client.consume(wire)) << "error " << i;
-    EXPECT_EQ(client.pending_recoveries(), i);
-  }
-  try {
-    client.consume(wire);
-    FAIL() << "error past the retry budget did not throw";
-  } catch (const ParseError& e) {
-    EXPECT_NE(std::string(e.what()).find("giving up"), std::string::npos)
-        << e.what();
-    EXPECT_NE(std::string(e.what()).find("no data available"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(RtrRecovery, SuccessfulSyncResetsTheBudget) {
-  rpki::RtrServer server(3);
-  server.update({rpki::Vrp{net::Prefix::parse("10.0.0.0/16"), 16,
-                           net::Asn(1)}});
-  rpki::Pdu err;
-  err.type = rpki::PduType::kErrorReport;
-  err.error_code = 1;
-  err.error_text = "internal error";
-  std::string wire = rpki::serialize_pdu(err);
-
-  rpki::RtrClient client;
-  // Alternate error / successful resync well past the budget: each completed
-  // sync must clear the counter, so this never throws.
-  for (int round = 0; round < 3 * rpki::RtrClient::kMaxRecoveries; ++round) {
-    EXPECT_NO_THROW(client.consume(wire)) << "round " << round;
-    client.consume(server.handle(rpki::parse_pdus(client.poll())[0]));
-    EXPECT_EQ(client.pending_recoveries(), 0) << "round " << round;
-    EXPECT_EQ(client.table_size(), 1u) << "round " << round;
-  }
 }
 
 }  // namespace

@@ -38,8 +38,11 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
+#include "rir/registry.hpp"
 #include "sim/fault_injector.hpp"
 #include "sim/generator.hpp"
+#include "stream/publisher.hpp"
+#include "stream/wire.hpp"
 #include "svc/admin_http.hpp"
 #include "svc/epoll_transport.hpp"
 #include "svc/protocol.hpp"
@@ -527,6 +530,42 @@ TEST(Metrics, EngineCatalogueIsPinned) {
       "droplens_pool_tasks_completed_total counter {}",
       "droplens_pool_tasks_submitted_total counter {}",
       "droplens_svc_snapshot_compiles_total counter {}",
+  };
+  EXPECT_EQ(catalogue_of(reg), pinned);
+}
+
+// The stream's families, pinned the same way: everything a follower
+// registers when it ingests an event, compacts the live state and answers
+// one subscribe request.
+TEST(Metrics, StreamCatalogueIsPinned) {
+  obs::Registry reg;
+  obs::ScopedRegistry scoped(reg);
+  stream::AlarmMonitor::Config alarms;
+  alarms.window_begin = net::Date::parse("2019-06-01");
+  alarms.window_end = net::Date::parse("2022-04-01");
+  stream::Publisher publisher(alarms);
+  publisher.seed_rir(rir::Registry{});
+  stream::Event announce;
+  announce.type = stream::EventType::kBgpAnnounce;
+  announce.prefix = net::Prefix::parse("10.0.0.0/8");
+  announce.date = alarms.window_begin;
+  announce.value = 64500;
+  publisher.ingest(announce);
+  (void)publisher.compact(announce.date, 1);
+  (void)publisher.handle_subscribe(
+      stream::encode_subscribe({.from_seq = 0, .max_events = 16}));
+
+  const std::vector<std::string> pinned = {
+      "droplens_stream_alarms_total counter {kind}",
+      "droplens_stream_compactions_total counter {}",
+      "droplens_stream_deltas_total counter {}",
+      "droplens_stream_events_applied_total counter {}",
+      "droplens_stream_events_ingested_total counter {}",
+      "droplens_stream_events_rejected_total counter {}",
+      "droplens_stream_head_seq gauge {}",
+      "droplens_stream_ingest_alarm_latency_ns histogram {}",
+      "droplens_stream_ingest_lag_seconds gauge {}",
+      "droplens_stream_resets_total counter {}",
   };
   EXPECT_EQ(catalogue_of(reg), pinned);
 }

@@ -224,13 +224,21 @@ TEST_F(PaperScaleTest, ExtensionPhasAlarms) {
 
 TEST_F(PaperScaleTest, ExtensionAuthenticatedIrr) {
   IrrWhatIfResult r = analyze_irr_whatif(*study_);
-  // The holder check rejects the 57 forged hijack objects (§5), but every
-  // object on fraudulently allocated incident space still passes.
+  // The holder check rejects the 57 forged hijack objects (§5) and the one
+  // bogon registration, but every object on fraudulently allocated
+  // incident space still passes.
   EXPECT_EQ(r.registrations_replayed, 231);
-  EXPECT_EQ(r.accepted, 172);
-  EXPECT_EQ(r.rejected, 59);
+  EXPECT_EQ(r.accepted, 173);
+  EXPECT_EQ(r.rejected, 58);
   EXPECT_EQ(r.rejected_forged, 57);
   EXPECT_EQ(r.accepted_incident, 45);
+  // No victim's own route object is rejected: the registry names the
+  // holder the way the owner's object does.
+  for (const irr::RouteObject& obj : r.rejected_objects) {
+    EXPECT_FALSE(obj.org_id.starts_with("victim-org-"))
+        << obj.prefix.to_string() << " " << obj.origin.to_string() << " "
+        << obj.org_id;
+  }
 }
 
 }  // namespace

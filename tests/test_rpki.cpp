@@ -2,6 +2,7 @@
 
 #include "rpki/archive.hpp"
 #include "rpki/roa.hpp"
+#include "rpki/rtr.hpp"
 #include "rpki/tal.hpp"
 #include "util/error.hpp"
 
@@ -158,6 +159,81 @@ TEST_F(ArchiveTest, MaxLengthMonotonicity) {
               Validity::kValid)
         << ml;
   }
+}
+
+// --- RTR PDU codec ---------------------------------------------------------
+
+TEST(Rtr, PduSerializationRoundTrip) {
+  std::vector<Pdu> pdus;
+  {
+    Pdu p;
+    p.type = PduType::kSerialNotify;
+    p.session_id = 7;
+    p.serial = 42;
+    pdus.push_back(p);
+    p.type = PduType::kSerialQuery;
+    pdus.push_back(p);
+    Pdu q;
+    q.type = PduType::kResetQuery;
+    pdus.push_back(q);
+    Pdu c;
+    c.type = PduType::kCacheResponse;
+    c.session_id = 7;
+    pdus.push_back(c);
+    Pdu v;
+    v.type = PduType::kIpv4Prefix;
+    v.announce = false;
+    v.vrp = Vrp{net::Prefix::parse("10.0.0.0/8"), 24, net::Asn(64500)};
+    pdus.push_back(v);
+    Pdu e;
+    e.type = PduType::kEndOfData;
+    e.session_id = 7;
+    e.serial = 42;
+    pdus.push_back(e);
+    Pdu err;
+    err.type = PduType::kErrorReport;
+    err.error_code = 3;
+    err.error_text = "boom";
+    pdus.push_back(err);
+  }
+  std::string wire;
+  for (const Pdu& p : pdus) wire += serialize_pdu(p);
+  std::vector<Pdu> parsed = parse_pdus(wire);
+  ASSERT_EQ(parsed.size(), pdus.size());
+  for (size_t i = 0; i < pdus.size(); ++i) {
+    EXPECT_EQ(parsed[i].type, pdus[i].type) << i;
+  }
+  EXPECT_EQ(parsed[4].vrp.prefix.to_string(), "10.0.0.0/8");
+  EXPECT_EQ(parsed[4].vrp.max_length, 24);
+  EXPECT_FALSE(parsed[4].announce);
+  EXPECT_EQ(parsed[6].error_text, "boom");
+}
+
+TEST(Rtr, ParserRejectsGarbage) {
+  EXPECT_THROW(parse_pdus("\x02\x00"), ParseError);  // bad version
+  std::string bad_len = serialize_pdu(Pdu{});
+  bad_len[5] = 99;  // corrupt the length field (bytes 4..7, big-endian)
+  EXPECT_THROW(parse_pdus(bad_len), ParseError);
+  // Prefix PDU with max_length < prefix length.
+  Pdu v;
+  v.type = PduType::kIpv4Prefix;
+  v.vrp = Vrp{net::Prefix::parse("10.0.0.0/24"), 24, net::Asn(1)};
+  std::string wire = serialize_pdu(v);
+  wire[10] = 8;  // maxlen byte (offset 10) -> 8 < plen 24
+  EXPECT_THROW(parse_pdus(wire), ParseError);
+}
+
+TEST(Rtr, SerialLtIsRfc1982Comparison) {
+  EXPECT_TRUE(serial_lt(5, 6));
+  EXPECT_FALSE(serial_lt(6, 5));
+  EXPECT_FALSE(serial_lt(7, 7));
+  // Across the wraparound: 0xffffffff precedes 0, 0 precedes 1.
+  EXPECT_TRUE(serial_lt(0xffffffffu, 0));
+  EXPECT_FALSE(serial_lt(0, 0xffffffffu));
+  EXPECT_TRUE(serial_lt(0xfffffff0u, 0x10));
+  // Half the space forward is "greater"; past half it flips sign.
+  EXPECT_TRUE(serial_lt(0, 0x7fffffffu));
+  EXPECT_FALSE(serial_lt(0, 0x80000001u));
 }
 
 }  // namespace
